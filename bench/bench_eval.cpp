@@ -125,15 +125,13 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
   const int thread_counts[2] = {2, 8};
   for (int t = 0; t < 2; ++t) {
     const int threads = thread_counts[t];
-    const int parallelism = std::max(
-        1, std::min(threads, ThreadPool::Shared().num_workers() + 1));
     std::vector<LayoutEvaluator::Scratch> scratches(
-        static_cast<size_t>(parallelism));
+        static_cast<size_t>(ThreadPool::SharedParallelism(threads)));
     r.par_s[t] = TimeSeconds([&] {
       for (int round = 0; round < rounds; ++round) {
         for (auto& s : scratches) s = evaluator.MakeScratch();
-        ThreadPool::Shared().ParallelFor(
-            static_cast<int64_t>(cands.size()), parallelism,
+        ThreadPool::SharedParallelFor(
+            static_cast<int64_t>(cands.size()), threads,
             [&cands, &delta_costs, &evaluator, &scratches](int64_t k,
                                                            int worker) {
               delta_costs[static_cast<size_t>(k)] =

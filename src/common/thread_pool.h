@@ -16,23 +16,15 @@
 // than interleaving (the library's callers fan out one search or one
 // resilience sweep at a time; nesting is a bug, not a use case).
 //
-// Submit/Wait is the asynchronous complement (groundwork for the
-// work-stealing scheduler on the ROADMAP): fire-and-forget tasks drained by
-// the pool workers, joined explicitly with Wait(). Because a submitted task
-// may run *after* the submitting scope has returned, by-reference captures
-// in a Submit lambda must outlive the matching Wait — dblayout_check's
-// capture-escape rule enforces exactly that.
-//
-// Locking discipline: all queue/batch coordination state is guarded by
-// `mu_` and annotated DBLAYOUT_GUARDED_BY so both dblayout_check's
-// lock-discipline rule and Clang's -Wthread-safety verify every access.
+// Locking discipline: all batch coordination state is guarded by `mu_` and
+// annotated DBLAYOUT_GUARDED_BY so both dblayout_check's lock-discipline
+// rule and Clang's -Wthread-safety verify every access.
 
 #ifndef DBLAYOUT_COMMON_THREAD_POOL_H_
 #define DBLAYOUT_COMMON_THREAD_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -44,7 +36,7 @@ namespace dblayout {
 class ThreadPool {
  public:
   /// A pool with `num_workers` background threads (>= 0; 0 makes every
-  /// ParallelFor run inline on the caller and every Submit run eagerly).
+  /// ParallelFor run inline on the caller).
   explicit ThreadPool(int num_workers);
   ~ThreadPool();
 
@@ -54,32 +46,31 @@ class ThreadPool {
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   /// The process-wide pool, sized to the hardware (hardware_concurrency - 1
-  /// background workers, at least 1), created on first use. Callers that
-  /// were configured with num_threads == 1 should not touch it.
+  /// background workers, at least 1), created on first use. Reach it through
+  /// SharedParallelFor, which never creates it for a single thread.
   static ThreadPool& Shared();
 
+  /// The worker count SharedParallelFor(n, num_threads, fn) uses, for
+  /// sizing per-worker state: 1 when num_threads <= 1 (without creating the
+  /// shared pool), else min(num_threads, Shared().num_workers() + 1).
+  static int SharedParallelism(int num_threads);
+
+  /// Runs fn(index, worker) for every index in [0, n) on
+  /// SharedParallelism(num_threads) workers: inline on the caller as worker 0
+  /// when that is 1, else through Shared().ParallelFor. This is the one entry
+  /// for callers configured with a thread count.
+  static void SharedParallelFor(
+      int64_t n, int num_threads,
+      const std::function<void(int64_t index, int worker)>& fn);
+
   /// Runs fn(index, worker) for every index in [0, n). `worker` is in
-  /// [0, min(parallelism, num_workers() + 1)) and is stable for the duration
-  /// of one invocation on one thread, so callers may give each worker its
-  /// own scratch state. The caller's thread is always worker 0. Blocks until
-  /// every index has been processed. fn must not throw and must not call
-  /// back into ParallelFor.
+  /// [0, min(parallelism, num_workers() + 1, n)) and is stable for the
+  /// duration of one invocation on one thread, so callers may give each
+  /// worker its own scratch state. The caller's thread is always worker 0.
+  /// Blocks until every index has been processed. fn must not throw and must
+  /// not call back into ParallelFor.
   void ParallelFor(int64_t n, int parallelism,
                    const std::function<void(int64_t index, int worker)>& fn);
-
-  /// Enqueues one independent task for asynchronous execution on the pool
-  /// workers (run inline immediately when the pool has no workers). The task
-  /// must not throw. Anything the task captures by reference must stay alive
-  /// until a Wait() call on this pool returns — enqueue-then-return-early is
-  /// the capture-lifetime hazard dblayout_check's capture-escape rule flags.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task Submit()ed so far has finished. The calling
-  /// thread helps drain the queue, so Wait() makes progress even on a
-  /// saturated pool. Tasks submitted concurrently with Wait by *other*
-  /// threads may or may not be covered; the intended pattern is
-  /// submit-many-then-wait from one owner.
-  void Wait();
 
  private:
   /// One ParallelFor invocation's shared state. `next` is the self-scheduling
@@ -100,12 +91,10 @@ class ThreadPool {
 
   Mutex run_mu_;  ///< serializes ParallelFor invocations
   Mutex mu_;
-  CondVar work_cv_;  ///< workers wait for a batch, a task, or shutdown
-  CondVar done_cv_;  ///< Wait()ers / the batch caller wait for completions
+  CondVar work_cv_;  ///< workers wait for a batch or shutdown
+  CondVar done_cv_;  ///< the batch caller waits for helpers to finish
   Batch* batch_ DBLAYOUT_GUARDED_BY(mu_) = nullptr;
   bool shutdown_ DBLAYOUT_GUARDED_BY(mu_) = false;
-  std::deque<std::function<void()>> tasks_ DBLAYOUT_GUARDED_BY(mu_);
-  int tasks_running_ DBLAYOUT_GUARDED_BY(mu_) = 0;
   // dblayout-check(unannotated-mutex-field): written only in the constructor and joined in the destructor, strictly before/after any worker runs; never touched concurrently
   std::vector<std::thread> workers_;
 };

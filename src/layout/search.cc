@@ -111,6 +111,55 @@ uint64_t JournalNowNs(bool journal_wall_clock) {
   return static_cast<uint64_t>(now.time_since_epoch().count());
 }
 
+/// Appends one iteration's verdict to the journal: a "decision" line per
+/// scored candidate, in enumeration order and against the pre-move `cost` —
+/// accepted (the fold's winner, `best_idx`; costs.size() when none),
+/// outscored (improves on the base but lost the fold), or not_improving —
+/// then the "iter_end" summary. `move_fields(idx)` supplies a candidate's
+/// move/group/from/to fields and `extra_fields(idx)` those after "delta".
+void AppendDecisions(
+    obs::EventJournal* journal, int iter, double cost,
+    const std::vector<double>& costs, size_t scored, size_t best_idx,
+    const std::function<obs::JournalFields(size_t idx)>& move_fields,
+    const std::function<obs::JournalFields(size_t idx)>& extra_fields) {
+  for (size_t idx = 0; idx < scored; ++idx) {
+    const bool accepted = idx == best_idx;
+    const char* reason = accepted                  ? "improved"
+                         : costs[idx] < cost - kEps ? "outscored"
+                                                    : "not_improving";
+    obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
+                              {"cand", obs::JsonInt(static_cast<int64_t>(idx))}};
+    for (auto& f : move_fields(idx)) fields.push_back(std::move(f));
+    fields.emplace_back("cost", obs::JsonDouble(costs[idx]));
+    fields.emplace_back("delta", obs::JsonDouble(costs[idx] - cost));
+    for (auto& f : extra_fields(idx)) fields.push_back(std::move(f));
+    fields.emplace_back("accepted", obs::JsonBool(accepted));
+    fields.emplace_back("reason", obs::JsonString(reason));
+    journal->Append("decision", fields);
+  }
+  const bool any = best_idx < costs.size();
+  journal->Append(
+      "iter_end",
+      {{"iter", obs::JsonInt(iter)},
+       {"candidates", obs::JsonInt(static_cast<int64_t>(costs.size()))},
+       {"scored", obs::JsonInt(static_cast<int64_t>(scored))},
+       {"accepted", obs::JsonInt(any ? 1 : 0)},
+       {"cost", obs::JsonDouble(any ? costs[best_idx] : cost)}});
+}
+
+/// The epilogue of every Run/RunFrom return: evaluation totals off the run's
+/// shared cost model, the timeout flag, and the metrics flush.
+void FinishRun(const CostModel& cost_model, SearchResult* result) {
+  result->layouts_evaluated = cost_model.WorkloadEvaluations();
+  // Every evaluation of this run went through the shared cost model exactly
+  // once (delta scorings via NoteExternalWorkloadEvaluation), so the full/
+  // delta split follows from the totals.
+  result->telemetry.full_evals =
+      result->layouts_evaluated - result->telemetry.delta_evals;
+  result->timed_out = result->telemetry.timed_out;
+  PublishSearchMetrics(result->telemetry);
+}
+
 /// Fractional blocks used on every drive by `layout`.
 std::vector<double> FractionalUsed(const Layout& layout,
                                    const std::vector<int64_t>& sizes) {
@@ -245,6 +294,66 @@ struct TsGreedySearch::Deadline {
     return active && std::chrono::steady_clock::now() >= at;
   }
 };
+
+size_t TsGreedySearch::ScoreCandidates(const LayoutEvaluator& evaluator,
+                                       int iter, size_t n,
+                                       const CandidateScorer& score,
+                                       const Deadline& deadline,
+                                       std::vector<double>* costs,
+                                       bool* timed_out) const {
+  obs::EventJournal* const journal = options_.journal;
+  const bool journal_wall = journal != nullptr && journal->wall_clock();
+  // Worker ids stay below min(parallelism, n); each worker scores in its
+  // own scratch.
+  const size_t workers = std::min(
+      static_cast<size_t>(ThreadPool::SharedParallelism(options_.num_threads)),
+      n);
+  std::vector<LayoutEvaluator::Scratch> scratches(workers);
+  for (auto& s : scratches) s = evaluator.MakeScratch();
+  // Per-worker journal buffers: the scoring body never takes the journal's
+  // lock; MergeShards appends the buffered "eval" events in candidate order
+  // after the join, so the journal bytes are independent of the thread count
+  // (the same fixed-slot discipline as `costs`).
+  std::vector<obs::EventJournal::Shard> shards(journal != nullptr ? workers
+                                                                  : 0);
+  costs->assign(n, 0.0);
+  // Not vector<bool>: workers write neighbouring slots concurrently.
+  std::vector<uint8_t> skipped(n, 0);
+  ThreadPool::SharedParallelFor(
+      static_cast<int64_t>(n), options_.num_threads,
+      [&score, &deadline, &scratches, &shards, &skipped, costs, journal_wall,
+       iter](int64_t i, int worker) {
+        const size_t idx = static_cast<size_t>(i);
+        // Candidate-granularity deadline check: the caller's layout is
+        // valid, so stopping mid-iteration still returns a usable
+        // best-so-far (the improvement found among the candidates before
+        // the first skipped one, if any, is accepted by the caller's fold).
+        if (deadline.Expired()) {
+          skipped[idx] = 1;
+          return;
+        }
+        const uint64_t t0 = JournalNowNs(journal_wall);
+        (*costs)[idx] = score(idx, &scratches[static_cast<size_t>(worker)]);
+        if (shards.empty()) return;
+        obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
+                                  {"cand", obs::JsonInt(i)},
+                                  {"cost", obs::JsonDouble((*costs)[idx])},
+                                  {"mode", obs::JsonString("delta")}};
+        if (journal_wall) {
+          fields.emplace_back("eval_ns", obs::JsonInt(static_cast<int64_t>(
+                                             JournalNowNs(journal_wall) - t0)));
+        }
+        shards[static_cast<size_t>(worker)].Append(i, "eval",
+                                                   std::move(fields));
+      });
+  if (journal != nullptr) journal->MergeShards(&shards);
+  // The clock and the cancel flag are monotone, so at one thread every index
+  // after the first skipped one is skipped too.
+  const size_t scored = static_cast<size_t>(
+      std::find(skipped.begin(), skipped.end(), 1) - skipped.begin());
+  if (scored < n) *timed_out = true;
+  return scored;
+}
 
 Result<Layout> TsGreedySearch::InitialLayout(
     const WorkloadProfile& profile, const ResolvedConstraints& constraints) const {
@@ -402,7 +511,6 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
   // emitted sequentially except in the scoring phase, which buffers per
   // worker and merges in candidate order after the join.
   obs::EventJournal* const journal = options_.journal;
-  const bool journal_wall = journal != nullptr && journal->wall_clock();
   LayoutEvaluator evaluator(profile, cost_model);
   evaluator.set_journal(journal);
   double cost = evaluator.Bind(layout);
@@ -426,9 +534,6 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
   };
   std::vector<Candidate> cands;
   std::vector<double> costs;
-  const int parallelism = std::max(
-      1, std::min(options_.num_threads, ThreadPool::Shared().num_workers() + 1));
-  std::vector<LayoutEvaluator::Scratch> scratches;
   std::vector<bool> in_group(db_.Objects().size(), false);
 
   for (int iter = 0; iter < options_.max_greedy_iterations; ++iter) {
@@ -549,67 +654,16 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     }
 
     // Phase 2: score the candidates (delta costing). Each score lands in a
-    // fixed slot, so the parallel path computes exactly the values the
-    // sequential one would.
-    costs.assign(cands.size(), 0.0);
-    size_t scored = cands.size();
-    // Per-worker journal buffers: the scoring lambda never takes the
-    // journal's lock; MergeShards appends the buffered "eval" events in
-    // candidate order after the join, so the journal bytes are independent
-    // of the thread count (same fixed-slot discipline as `costs`).
-    std::vector<obs::EventJournal::Shard> shards(
-        journal != nullptr ? static_cast<size_t>(parallelism) : 0);
-    auto buffer_eval = [&shards, &costs, journal_wall, iter](
-                           size_t idx, uint64_t t0, int worker) {
-      obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
-                                {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-                                {"cost", obs::JsonDouble(costs[idx])},
-                                {"mode", obs::JsonString("delta")}};
-      if (journal_wall) {
-        fields.emplace_back("eval_ns", obs::JsonInt(static_cast<int64_t>(
-                                           JournalNowNs(journal_wall) - t0)));
-      }
-      shards[static_cast<size_t>(worker)].Append(static_cast<int64_t>(idx),
-                                                 "eval", std::move(fields));
-    };
-    if (parallelism > 1 && cands.size() > 1) {
-      scratches.resize(static_cast<size_t>(parallelism));
-      for (auto& s : scratches) s = evaluator.MakeScratch();
-      ThreadPool::Shared().ParallelFor(
-          static_cast<int64_t>(cands.size()), parallelism,
-          [&cands, &costs, &groups, &evaluator, &scratches, &shards,
-           &buffer_eval, journal_wall](int64_t idx, int worker) {
-            const Candidate& c = cands[static_cast<size_t>(idx)];
-            const uint64_t t0 = JournalNowNs(journal_wall);
-            costs[static_cast<size_t>(idx)] = evaluator.ScoreProportionalMove(
-                groups[static_cast<size_t>(c.group)], c.disks,
-                &scratches[static_cast<size_t>(worker)]);
-            if (!shards.empty()) {
-              buffer_eval(static_cast<size_t>(idx), t0, worker);
-            }
-          });
-    } else {
-      scratches.resize(1);
-      scratches[0] = evaluator.MakeScratch();
-      for (size_t idx = 0; idx < cands.size(); ++idx) {
-        // Candidate-granularity deadline check: the layout held here is
-        // valid, so stopping mid-iteration still returns a usable
-        // best-so-far (the improvement found among the candidates already
-        // scored, if any, is accepted below before the outer loop observes
-        // the expiry).
-        if (deadline.Expired()) {
-          telemetry.timed_out = true;
-          scored = idx;
-          break;
-        }
-        const Candidate& c = cands[idx];
-        const uint64_t t0 = JournalNowNs(journal_wall);
-        costs[idx] = evaluator.ScoreProportionalMove(
-            groups[static_cast<size_t>(c.group)], c.disks, &scratches[0]);
-        if (!shards.empty()) buffer_eval(idx, t0, /*worker=*/0);
-      }
-    }
-    if (journal != nullptr) journal->MergeShards(&shards);
+    // fixed slot, so any thread count computes the same values.
+    const size_t scored = ScoreCandidates(
+        evaluator, iter, cands.size(),
+        [&cands, &groups, &evaluator](size_t idx,
+                                      LayoutEvaluator::Scratch* scratch) {
+          const Candidate& c = cands[idx];
+          return evaluator.ScoreProportionalMove(
+              groups[static_cast<size_t>(c.group)], c.disks, scratch);
+        },
+        deadline, &costs, &telemetry.timed_out);
 
     // Phase 3: fold the scores in enumeration order under the same
     // strict-improvement-over-running-best rule the sequential formulation
@@ -625,37 +679,18 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
       }
     }
     if (journal != nullptr) {
-      // One decision line per scored candidate, in enumeration order and
-      // against the pre-move base: accepted (the fold's winner), outscored
-      // (improves on the base but lost the fold), or not_improving.
-      for (size_t idx = 0; idx < scored; ++idx) {
-        const Candidate& c = cands[idx];
-        const auto& g = groups[static_cast<size_t>(c.group)];
-        const bool accepted = idx == best_idx;
-        const char* reason = accepted                  ? "improved"
-                             : costs[idx] < cost - kEps ? "outscored"
-                                                        : "not_improving";
-        journal->Append(
-            "decision",
-            {{"iter", obs::JsonInt(iter)},
-             {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-             {"move", obs::JsonString(MoveKindName(c.kind))},
-             {"group", obs::JsonIntArray(g)},
-             {"from", obs::JsonIntArray(base.DisksOf(g[0]))},
-             {"to", obs::JsonIntArray(c.disks)},
-             {"cost", obs::JsonDouble(costs[idx])},
-             {"delta", obs::JsonDouble(costs[idx] - cost)},
-             {"accepted", obs::JsonBool(accepted)},
-             {"reason", obs::JsonString(reason)}});
-      }
-      journal->Append(
-          "iter_end",
-          {{"iter", obs::JsonInt(iter)},
-           {"candidates", obs::JsonInt(static_cast<int64_t>(cands.size()))},
-           {"scored", obs::JsonInt(static_cast<int64_t>(scored))},
-           {"accepted", obs::JsonInt(best_idx == cands.size() ? 0 : 1)},
-           {"cost", obs::JsonDouble(best_idx == cands.size() ? cost
-                                                             : best_cost)}});
+      AppendDecisions(
+          journal, iter, cost, costs, scored, best_idx,
+          [&cands, &groups, &base](size_t idx) {
+            const Candidate& c = cands[idx];
+            const auto& g = groups[static_cast<size_t>(c.group)];
+            return obs::JournalFields{
+                {"move", obs::JsonString(MoveKindName(c.kind))},
+                {"group", obs::JsonIntArray(g)},
+                {"from", obs::JsonIntArray(base.DisksOf(g[0]))},
+                {"to", obs::JsonIntArray(c.disks)}};
+          },
+          [](size_t) { return obs::JournalFields{}; });
     }
     if (best_idx == cands.size()) break;
     const Candidate& best = cands[best_idx];
@@ -743,7 +778,6 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
   }
 
   obs::EventJournal* const journal = options_.journal;
-  const bool journal_wall = journal != nullptr && journal->wall_clock();
   LayoutEvaluator evaluator(profile, cost_model);
   evaluator.set_journal(journal);
   double cost = evaluator.Bind(layout);
@@ -783,9 +817,6 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
   };
   std::vector<Step> steps;
   std::vector<double> costs;
-  const int parallelism = std::max(
-      1, std::min(options_.num_threads, ThreadPool::Shared().num_workers() + 1));
-  std::vector<LayoutEvaluator::Scratch> scratches;
 
   std::vector<bool> migrated(groups.size(), false);
   for (int iter = 0;; ++iter) {
@@ -847,57 +878,14 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
 
     // Phase 2: score (delta costing; only sub-plans touching the moved
     // objects are re-costed).
-    costs.assign(steps.size(), 0.0);
-    size_t scored = steps.size();
-    // Same shard discipline as the greedy phase: "eval" events buffer per
-    // worker and merge in step order, keeping the journal thread-count
-    // independent.
-    std::vector<obs::EventJournal::Shard> shards(
-        journal != nullptr ? static_cast<size_t>(parallelism) : 0);
-    auto buffer_eval = [&shards, &costs, journal_wall, iter](
-                           size_t idx, uint64_t t0, int worker) {
-      obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
-                                {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-                                {"cost", obs::JsonDouble(costs[idx])},
-                                {"mode", obs::JsonString("delta")}};
-      if (journal_wall) {
-        fields.emplace_back("eval_ns", obs::JsonInt(static_cast<int64_t>(
-                                           JournalNowNs(journal_wall) - t0)));
-      }
-      shards[static_cast<size_t>(worker)].Append(static_cast<int64_t>(idx),
-                                                 "eval", std::move(fields));
-    };
-    if (parallelism > 1 && steps.size() > 1) {
-      scratches.resize(static_cast<size_t>(parallelism));
-      for (auto& s : scratches) s = evaluator.MakeScratch();
-      ThreadPool::Shared().ParallelFor(
-          static_cast<int64_t>(steps.size()), parallelism,
-          [&steps, &costs, &evaluator, &scratches, &target, &shards,
-           &buffer_eval, journal_wall](int64_t idx, int worker) {
-            const uint64_t t0 = JournalNowNs(journal_wall);
-            costs[static_cast<size_t>(idx)] = evaluator.ScoreRowsFromMove(
-                steps[static_cast<size_t>(idx)].objects, target,
-                &scratches[static_cast<size_t>(worker)]);
-            if (!shards.empty()) {
-              buffer_eval(static_cast<size_t>(idx), t0, worker);
-            }
-          });
-    } else {
-      scratches.resize(1);
-      scratches[0] = evaluator.MakeScratch();
-      for (size_t idx = 0; idx < steps.size(); ++idx) {
-        if (deadline.Expired()) {
-          stats->telemetry.timed_out = true;
-          scored = idx;
-          break;
-        }
-        const uint64_t t0 = JournalNowNs(journal_wall);
-        costs[idx] = evaluator.ScoreRowsFromMove(steps[idx].objects, target,
-                                                 &scratches[0]);
-        if (!shards.empty()) buffer_eval(idx, t0, /*worker=*/0);
-      }
-    }
-    if (journal != nullptr) journal->MergeShards(&shards);
+    const size_t scored = ScoreCandidates(
+        evaluator, iter, steps.size(),
+        [&steps, &target, &evaluator](size_t idx,
+                                      LayoutEvaluator::Scratch* scratch) {
+          return evaluator.ScoreRowsFromMove(steps[idx].objects, target,
+                                             scratch);
+        },
+        deadline, &costs, &stats->telemetry.timed_out);
 
     // Phase 3: best cost gain per moved block, strict improvement only;
     // ties resolve to the earliest unit, matching the sequential fold.
@@ -915,36 +903,20 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
     if (journal != nullptr) {
       // Migration decisions rank by cost gain per moved block, so a step
       // can improve on the base yet lose the fold ("outscored").
-      for (size_t idx = 0; idx < scored; ++idx) {
-        const bool accepted = idx == best_idx;
-        const char* reason = accepted                  ? "improved"
-                             : costs[idx] < cost - kEps ? "outscored"
-                                                        : "not_improving";
-        journal->Append(
-            "decision",
-            {{"iter", obs::JsonInt(iter)},
-             {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-             {"move", obs::JsonString("migrate")},
-             {"group", obs::JsonIntArray(steps[idx].objects)},
-             {"from",
-              obs::JsonIntArray(base.DisksOf(steps[idx].objects[0]))},
-             {"to",
-              obs::JsonIntArray(target.DisksOf(steps[idx].objects[0]))},
-             {"cost", obs::JsonDouble(costs[idx])},
-             {"delta", obs::JsonDouble(costs[idx] - cost)},
-             {"step_moved", obs::JsonDouble(steps[idx].step_moved)},
-             {"accepted", obs::JsonBool(accepted)},
-             {"reason", obs::JsonString(reason)}});
-      }
-      journal->Append(
-          "iter_end",
-          {{"iter", obs::JsonInt(iter)},
-           {"candidates", obs::JsonInt(static_cast<int64_t>(steps.size()))},
-           {"scored", obs::JsonInt(static_cast<int64_t>(scored))},
-           {"accepted", obs::JsonInt(best_idx == steps.size() ? 0 : 1)},
-           {"cost", obs::JsonDouble(best_idx == steps.size()
-                                        ? cost
-                                        : costs[best_idx])}});
+      AppendDecisions(
+          journal, iter, cost, costs, scored, best_idx,
+          [&steps, &base, &target](size_t idx) {
+            const std::vector<int>& objects = steps[idx].objects;
+            return obs::JournalFields{
+                {"move", obs::JsonString("migrate")},
+                {"group", obs::JsonIntArray(objects)},
+                {"from", obs::JsonIntArray(base.DisksOf(objects[0]))},
+                {"to", obs::JsonIntArray(target.DisksOf(objects[0]))}};
+          },
+          [&steps](size_t idx) {
+            return obs::JournalFields{
+                {"step_moved", obs::JsonDouble(steps[idx].step_moved)}};
+          });
     }
     if (best_idx == steps.size()) break;
 
@@ -1048,24 +1020,13 @@ Result<SearchResult> TsGreedySearch::Run(const WorkloadProfile& profile,
         result.layout = striped;
         result.telemetry.used_full_striping_fallback = true;
         result.telemetry.cost_trajectory.push_back(striped_cost);
-        result.layouts_evaluated = cost_model.WorkloadEvaluations();
-        result.telemetry.full_evals =
-            result.layouts_evaluated - result.telemetry.delta_evals;
-        result.timed_out = result.telemetry.timed_out;
-        PublishSearchMetrics(result.telemetry);
+        FinishRun(cost_model, &result);
         return result;
       }
     }
   }
   result.layout = std::move(final_layout);
-  result.layouts_evaluated = cost_model.WorkloadEvaluations();
-  // Every evaluation of this run went through the shared cost model exactly
-  // once (delta scorings via NoteExternalWorkloadEvaluation), so the full/
-  // delta split follows from the totals.
-  result.telemetry.full_evals =
-      result.layouts_evaluated - result.telemetry.delta_evals;
-  result.timed_out = result.telemetry.timed_out;
-  PublishSearchMetrics(result.telemetry);
+  FinishRun(cost_model, &result);
   return result;
 }
 
@@ -1090,11 +1051,7 @@ Result<SearchResult> TsGreedySearch::RunFrom(
   DBLAYOUT_RETURN_NOT_OK(final_layout.Validate(sizes, fleet_));
   DBLAYOUT_RETURN_NOT_OK(CheckConstraints(final_layout, constraints, db_, fleet_));
   result.layout = std::move(final_layout);
-  result.layouts_evaluated = cost_model.WorkloadEvaluations();
-  result.telemetry.full_evals =
-      result.layouts_evaluated - result.telemetry.delta_evals;
-  result.timed_out = result.telemetry.timed_out;
-  PublishSearchMetrics(result.telemetry);
+  FinishRun(cost_model, &result);
   return result;
 }
 

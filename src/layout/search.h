@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "layout/constraints.h"
 #include "layout/cost_model.h"
+#include "layout/evaluator.h"
 
 namespace dblayout::obs {
 class EventJournal;
@@ -80,13 +81,10 @@ struct SearchOptions {
   const std::atomic<bool>* cancel_requested = nullptr;
   /// Number of threads used to score the candidate moves of one greedy (or
   /// migration) iteration, via the process-wide shared pool
-  /// (ThreadPool::Shared). Candidate enumeration and winner selection stay
-  /// sequential and each score lands in a fixed slot, so every value
-  /// produces bit-identical results to num_threads = 1 — parallelism
-  /// changes wall-clock time, never the answer. Values above the pool size
-  /// are clamped; <= 1 scores in the calling thread. With a wall-clock
-  /// budget, expiry is detected between scoring batches rather than between
-  /// single candidates, so the overrun can grow to one batch.
+  /// (ThreadPool::SharedParallelFor). Candidate enumeration and winner
+  /// selection stay sequential and each score lands in a fixed slot, so
+  /// every value produces bit-identical results to num_threads = 1 —
+  /// parallelism changes wall-clock time, never the answer.
   int num_threads = 1;
   /// Test-only fault injection: when set, invoked on the working layout
   /// after every accepted greedy move, *before* the debug-build invariant
@@ -102,7 +100,11 @@ struct SearchOptions {
   /// iteration — through obs::EventJournal. Events from the parallel scoring
   /// phase are buffered per worker and merged in candidate order, so the
   /// journal is byte-identical at any num_threads (the journal only
-  /// observes; it never influences the search).
+  /// observes; it never influences the search). One exception: when the
+  /// budget expires or the search is cancelled mid-iteration at more than
+  /// one thread, a candidate past the iteration's "scored" count may carry
+  /// an "eval" line with no "decision" line (another worker scored it before
+  /// the expiry was seen).
   obs::EventJournal* journal = nullptr;
 };
 
@@ -191,6 +193,22 @@ class TsGreedySearch {
 
  private:
   struct Deadline;
+
+  /// Scores candidate `idx` of the current iteration in `scratch`:
+  /// LayoutEvaluator::ScoreProportionalMove or ScoreRowsFromMove.
+  using CandidateScorer =
+      std::function<double(size_t idx, LayoutEvaluator::Scratch* scratch)>;
+
+  /// The scoring step of one greedy or migration iteration: sets
+  /// (*costs)[idx] = score(idx, scratch) for every idx in [0, n) on up to
+  /// options_.num_threads workers, each with its own scratch of `evaluator`,
+  /// and journals one "eval" line per scored candidate in candidate order.
+  /// The deadline is checked before every candidate; once expired, the
+  /// candidate is skipped. Returns the first skipped index (n if none) and
+  /// sets `*timed_out` when one was skipped.
+  size_t ScoreCandidates(const LayoutEvaluator& evaluator, int iter, size_t n,
+                         const CandidateScorer& score, const Deadline& deadline,
+                         std::vector<double>* costs, bool* timed_out) const;
 
   /// Both helpers share one CostModel per Run so layouts_evaluated can be
   /// read off CostModel::WorkloadEvaluations() uniformly at the end.

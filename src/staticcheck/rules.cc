@@ -248,15 +248,15 @@ class RawRandomRule : public CheckRule {
 };
 
 /// parallel-default-ref-capture: a `[&]` lambda handed to
-/// ThreadPool::ParallelFor/Submit captures every enclosing local by
-/// reference, hiding which shared state the workers touch. Deterministic
+/// ThreadPool::ParallelFor/SharedParallelFor captures every enclosing local
+/// by reference, hiding which shared state the workers touch. Deterministic
 /// fan-out requires naming the captures (self-documenting the sharing) or
 /// visible synchronization in the body.
 class ParallelCaptureRule : public CheckRule {
  public:
   const char* id() const override { return "parallel-default-ref-capture"; }
   const char* summary() const override {
-    return "lambdas given to ThreadPool::ParallelFor/Submit must name their "
+    return "lambdas given to ThreadPool::ParallelFor must name their "
            "captures (no bare [&]) unless the body shows synchronization";
   }
   LintSeverity severity() const override { return LintSeverity::kWarning; }
@@ -264,7 +264,8 @@ class ParallelCaptureRule : public CheckRule {
              std::vector<Diagnostic>* out) const override {
     const Toks& toks = file.lex.tokens;
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!(toks[i].ident("ParallelFor") || toks[i].ident("Submit")) ||
+      if (!(toks[i].ident("ParallelFor") ||
+            toks[i].ident("SharedParallelFor")) ||
           !toks[i + 1].is("(")) {
         continue;
       }

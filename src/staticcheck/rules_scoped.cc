@@ -3,8 +3,6 @@
 //
 //   - guarded-by-violation / unannotated-mutex-field: lock discipline over
 //     DBLAYOUT_GUARDED_BY / DBLAYOUT_REQUIRES annotations (common/mutex.h);
-//   - capture-escape: by-reference captures handed to ThreadPool::Submit
-//     that outlive the captured local's scope;
 //   - determinism-taint: interprocedural clock/env/entropy reachability
 //     from the determinism-critical entry layers.
 //
@@ -233,104 +231,6 @@ class UnannotatedMutexFieldRule : public CheckRule {
   }
 };
 
-// --- capture-escape ---------------------------------------------------------
-
-/// True when a `Wait` call token appears in toks[(begin, end)).
-bool HasWaitCall(const Toks& toks, size_t begin, size_t end) {
-  for (size_t k = begin; k + 1 < end && k + 1 < toks.size(); ++k) {
-    if (toks[k].ident("Wait") && toks[k + 1].is("(")) return true;
-  }
-  return false;
-}
-
-/// ThreadPool::Submit detaches the task from the submitting scope: it runs
-/// whenever a worker frees up, bounded only by a later Wait(). A lambda that
-/// captures a local by reference therefore races the local's destruction
-/// unless a Wait() call is sequenced before the local's scope ends.
-/// ParallelFor needs no such rule — it blocks until the batch drains, so
-/// captures cannot outlive the call.
-class CaptureEscapeRule : public CheckRule {
- public:
-  const char* id() const override { return "capture-escape"; }
-  const char* summary() const override {
-    return "a lambda Submit()ed to the ThreadPool must not capture locals by "
-           "reference unless Wait() runs before their scope ends";
-  }
-  LintSeverity severity() const override { return LintSeverity::kError; }
-  void Check(const SourceFile& file, const CheckContext& ctx,
-             std::vector<Diagnostic>* out) const override {
-    const FileModel* fm = ctx.program.File(file.path);
-    if (fm == nullptr) return;
-    const Toks& toks = file.lex.tokens;
-    for (const FunctionDef& fn : fm->functions) {
-      for (size_t i = fn.body_begin; i + 1 < fn.body_end && i + 1 < toks.size();
-           ++i) {
-        if (!toks[i].ident("Submit") || !toks[i + 1].is("(")) continue;
-        const size_t call_close = MatchForward(toks, i + 1);
-        if (call_close >= toks.size()) continue;
-        // Lambda introducers among the arguments: '[' right after '(' or ','.
-        for (size_t j = i + 2; j < call_close; ++j) {
-          if (!toks[j].is("[")) continue;
-          if (!(toks[j - 1].is("(") || toks[j - 1].is(","))) continue;
-          const size_t intro_close = MatchForward(toks, j);
-          if (intro_close >= call_close) break;
-          // Walk the capture list: elements at depth 0, comma-separated.
-          size_t k = j + 1;
-          while (k < intro_close) {
-            if (toks[k].is("&") &&
-                (k + 1 == intro_close || toks[k + 1].is(","))) {
-              // Default by-reference capture [&]: every enclosing local is
-              // at risk; require a Wait() later in this function.
-              if (!HasWaitCall(toks, call_close, fn.body_end)) {
-                out->push_back(MakeDiag(
-                    id(), severity(), toks[k].line,
-                    StrFormat("lambda with default by-reference capture [&] "
-                              "Submit()ed in '%s' with no Wait() before the "
-                              "function returns",
-                              DisplayName(fn).c_str()),
-                    "capture by value, or call pool.Wait() before the "
-                    "captured locals go out of scope"));
-              }
-              ++k;
-            } else if (toks[k].is("&") && k + 1 < intro_close &&
-                       toks[k + 1].kind == TokKind::kIdentifier) {
-              const std::string& name = toks[k + 1].text;
-              const TokRange scope = FindLocalDeclScope(toks, fn, i, name);
-              // Parameters, members and globals have function-or-longer
-              // lifetime; only block-scoped locals can die under the task.
-              if (scope.valid() &&
-                  !HasWaitCall(toks, call_close,
-                               std::min(scope.end, fn.body_end))) {
-                out->push_back(MakeDiag(
-                    id(), severity(), toks[k].line,
-                    StrFormat("lambda Submit()ed in '%s' captures local '%s' "
-                              "by reference but no Wait() runs before the "
-                              "local's scope ends",
-                              DisplayName(fn).c_str(), name.c_str()),
-                    "capture by value, widen the local's scope past the "
-                    "Wait(), or call pool.Wait() inside the scope"));
-              }
-              k += 2;
-            } else {
-              // Skip this element (value capture, init-capture, this, ...).
-              int depth = 0;
-              while (k < intro_close) {
-                const std::string& t = toks[k].text;
-                if (t == "(" || t == "[" || t == "{") ++depth;
-                if (t == ")" || t == "]" || t == "}") --depth;
-                if (depth == 0 && t == ",") break;
-                ++k;
-              }
-            }
-            if (k < intro_close && toks[k].is(",")) ++k;
-          }
-          j = intro_close;
-        }
-      }
-    }
-  }
-};
-
 // --- determinism-taint ------------------------------------------------------
 
 /// Interprocedural nondeterminism gate. Direct clock/env/entropy reads in an
@@ -397,7 +297,6 @@ std::vector<std::unique_ptr<CheckRule>> ScopedCheckRules() {
   std::vector<std::unique_ptr<CheckRule>> rules;
   rules.push_back(std::make_unique<GuardedByViolationRule>());
   rules.push_back(std::make_unique<UnannotatedMutexFieldRule>());
-  rules.push_back(std::make_unique<CaptureEscapeRule>());
   rules.push_back(std::make_unique<DeterminismTaintRule>());
   return rules;
 }

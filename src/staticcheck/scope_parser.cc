@@ -626,52 +626,4 @@ ProgramModel BuildProgramModel(const std::vector<SourceFile>& files) {
   return program;
 }
 
-TokRange FindLocalDeclScope(const std::vector<Tok>& toks, const FunctionDef& fn,
-                            size_t use, const std::string& name) {
-  // Brace pairs inside the body, innermost-last per open order.
-  std::vector<std::pair<size_t, size_t>> pairs;
-  {
-    std::vector<size_t> open;
-    for (size_t i = fn.body_begin; i < fn.body_end && i < toks.size(); ++i) {
-      if (toks[i].is("{")) {
-        open.push_back(i);
-      } else if (toks[i].is("}") && !open.empty()) {
-        pairs.emplace_back(open.back(), i);
-        open.pop_back();
-      }
-    }
-  }
-  auto scope_of = [&](size_t p) {
-    TokRange best{fn.body_begin, fn.body_end};
-    for (const auto& [b, e] : pairs) {
-      if (b < p && p < e && (e - b) < (best.end - best.begin)) {
-        best = TokRange{b + 1, e};
-      }
-    }
-    return best;
-  };
-
-  TokRange found;
-  size_t found_size = 0;
-  for (size_t p = fn.body_begin; p < use && p < toks.size(); ++p) {
-    if (toks[p].kind != TokKind::kIdentifier || toks[p].text != name) continue;
-    if (p + 1 >= toks.size() || p == fn.body_begin) continue;
-    const Tok& nxt = toks[p + 1];
-    const bool decl_next = nxt.is("=") || nxt.is(";") || nxt.is("(") ||
-                           nxt.is("{") || nxt.is(":");
-    if (!decl_next || !IsTypeishPrev(toks[p - 1])) continue;
-    const TokRange scope = scope_of(p);
-    // The innermost declaration whose scope still contains the use wins
-    // (shadowing); declarations in scopes already closed at `use` are not
-    // visible there.
-    if (!(scope.begin <= use && use < scope.end)) continue;
-    const size_t size = scope.end - scope.begin;
-    if (!found.valid() || size < found_size) {
-      found = scope;
-      found_size = size;
-    }
-  }
-  return found;
-}
-
 }  // namespace dblayout::staticcheck

@@ -1,8 +1,8 @@
 // A lightweight declaration/scope parser over cpp_lexer token streams.
 //
 // dblayout_check v1 walked flat token streams; that is enough for per-line
-// patterns but cannot answer the questions the lock-discipline,
-// capture-escape, and interprocedural-taint rules ask: "which function body
+// patterns but cannot answer the questions the lock-discipline and
+// interprocedural-taint rules ask: "which function body
 // does this token live in?", "which class declares this field, and is it
 // annotated?", "who calls whom?". This parser answers them with a single
 // forward scan per file — no libclang, no preprocessor, no type system —
@@ -143,22 +143,6 @@ struct ProgramModel {
 
 ProgramModel BuildProgramModel(
     const std::vector<SourceFile>& files);
-
-/// Half-open token range.
-struct TokRange {
-  size_t begin = 0;
-  size_t end = 0;
-  bool valid() const { return end > begin; }
-};
-
-/// The innermost braced scope inside `fn`'s body that contains token index
-/// `use` and in which local `name` is declared before `use`. Used by the
-/// capture-escape rule: a Submit()ed lambda's by-reference capture must not
-/// outlive this range. Returns an invalid range when no local declaration of
-/// `name` precedes `use` (member/global/parameter: function-lifetime, safe).
-/// Shadowing resolves to the innermost declaration, as in C++.
-TokRange FindLocalDeclScope(const std::vector<Tok>& toks, const FunctionDef& fn,
-                            size_t use, const std::string& name);
 
 }  // namespace dblayout::staticcheck
 

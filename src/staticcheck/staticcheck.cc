@@ -477,16 +477,13 @@ LintReport CheckRunner::Run(CheckStats* stats) const {
                    .count();
   };
 
+  // A zero-worker pool (--jobs 1) runs every file inline on this thread.
   const int jobs = std::max(1, options_.jobs);
-  if (jobs > 1 && files_.size() > 1) {
-    ThreadPool pool(jobs - 1);
-    pool.ParallelFor(static_cast<int64_t>(files_.size()), jobs,
-                     [&analyze](int64_t i, int) {
-                       analyze(static_cast<size_t>(i));
-                     });
-  } else {
-    for (size_t fi = 0; fi < files_.size(); ++fi) analyze(fi);
-  }
+  ThreadPool pool(jobs - 1);
+  pool.ParallelFor(static_cast<int64_t>(files_.size()), jobs,
+                   [&analyze](int64_t i, int) {
+                     analyze(static_cast<size_t>(i));
+                   });
 
   CheckStats local;
   local.files = files_.size();

@@ -164,7 +164,7 @@ class CheckRule {
 std::vector<std::unique_ptr<CheckRule>> DefaultCheckRules();
 
 /// The scope-aware rule families alone (guarded-by-violation,
-/// unannotated-mutex-field, capture-escape, determinism-taint).
+/// unannotated-mutex-field, determinism-taint).
 std::vector<std::unique_ptr<CheckRule>> ScopedCheckRules();
 
 /// Harvests the SymbolIndex from every file (exposed for tests).

@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -287,70 +290,95 @@ TEST(ThreadPoolTest, SharedPoolIsUsableConcurrently) {
   EXPECT_EQ(total.load(), 256);
 }
 
-TEST(ThreadPoolTest, SubmitRunsEveryTaskBeforeWaitReturns) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+TEST(ThreadPoolTest, SharedParallelForVisitsEveryIndexAtAnyThreadCount) {
+  for (int threads : {0, 1, 4}) {
+    std::vector<std::atomic<int>> hits(100);
+    for (auto& h : hits) h.store(0);
+    ThreadPool::SharedParallelFor(
+        100, threads, [&hits, threads](int64_t i, int worker) {
+          EXPECT_LT(worker, ThreadPool::SharedParallelism(threads));
+          hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+        });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
   }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 200);
-  // The pool is reusable after a Wait().
-  pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 201);
+  EXPECT_EQ(ThreadPool::SharedParallelism(0), 1);
+  EXPECT_EQ(ThreadPool::SharedParallelism(1), 1);
+  EXPECT_EQ(ThreadPool::SharedParallelism(1000),
+            ThreadPool::Shared().num_workers() + 1);
 }
 
-TEST(ThreadPoolTest, SubmitRunsInlineWithZeroWorkers) {
-  // A zero-worker pool degenerates to eager inline execution, so Submit's
-  // capture-lifetime contract holds trivially.
-  ThreadPool pool(0);
-  int ran = 0;
-  pool.Submit([&ran] { ++ran; });
-  EXPECT_EQ(ran, 1);  // already ran, before Wait
-  pool.Wait();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPoolTest, WaitDrainsTasksSubmittedDuringTasks) {
-  // A task may Submit follow-up work; Wait must not return until the whole
-  // transitive set has drained.
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  pool.Submit([&pool, &done] {
-    done.fetch_add(1, std::memory_order_relaxed);
-    pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(ThreadPoolTest, SubmitAndParallelForCoexist) {
-  // Queued tasks and a blocking batch share the worker set; both must
-  // complete and neither may deadlock the other.
-  ThreadPool pool(3);
-  std::atomic<int> task_hits{0};
-  std::atomic<int64_t> batch_sum{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&task_hits] { task_hits.fetch_add(1, std::memory_order_relaxed); });
+#ifdef __linux__
+/// The process's thread count, from the "Threads:" line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
   }
-  pool.ParallelFor(500, 4, [&batch_sum](int64_t i, int) {
-    batch_sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  pool.Wait();
-  EXPECT_EQ(task_hits.load(), 50);
-  EXPECT_EQ(batch_sum.load(), 500 * 499 / 2);
+  return -1;
 }
 
-/// Runs the full search at a given thread count.
+TEST(ThreadPoolDeathTest, OneThreadSearchNeverStartsTheSharedPool) {
+  // "threadsafe" re-executes the test binary for the child, so the child
+  // starts with one thread and no shared pool; a one-thread Run must leave
+  // it that way (exit code = the child's final thread count).
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Database db = MicroDb();
+        DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 42);
+        SearchOptions opts;
+        opts.num_threads = 1;
+        const bool ok = TsGreedySearch(db, fleet, opts)
+                            .Run(MicroProfile(db), NoConstraints(db))
+                            .ok();
+        std::exit(ok ? ProcessThreads() : 100);
+      },
+      ::testing::ExitedWithCode(1), "");
+}
+#endif  // __linux__
+
+/// Runs the full search at a given thread count, on top of `opts`.
 SearchResult RunAtThreads(const Database& db, const DiskFleet& fleet,
                           const WorkloadProfile& profile,
-                          const ResolvedConstraints& rc, int threads) {
-  SearchOptions opts;
+                          const ResolvedConstraints& rc, int threads,
+                          SearchOptions opts = {}) {
   opts.num_threads = threads;
   auto result = TsGreedySearch(db, fleet, opts).Run(profile, rc);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// Layout, cost, trajectory, and telemetry of two runs are bit-identical.
+void ExpectSameRun(const SearchResult& base, const SearchResult& other,
+                   int threads) {
+  SCOPED_TRACE(testing::Message() << threads << " threads");
+  EXPECT_EQ(base.cost, other.cost);
+  EXPECT_EQ(base.greedy_iterations, other.greedy_iterations);
+  EXPECT_EQ(base.layouts_evaluated, other.layouts_evaluated);
+  EXPECT_EQ(base.timed_out, other.timed_out);
+  const SearchTelemetry& a = base.telemetry;
+  const SearchTelemetry& b = other.telemetry;
+  EXPECT_EQ(a.cost_trajectory, b.cost_trajectory);
+  EXPECT_EQ(a.widen_considered, b.widen_considered);
+  EXPECT_EQ(a.widen_accepted, b.widen_accepted);
+  EXPECT_EQ(a.jump_considered, b.jump_considered);
+  EXPECT_EQ(a.jump_accepted, b.jump_accepted);
+  EXPECT_EQ(a.narrow_considered, b.narrow_considered);
+  EXPECT_EQ(a.narrow_accepted, b.narrow_accepted);
+  EXPECT_EQ(a.capacity_rejected, b.capacity_rejected);
+  EXPECT_EQ(a.movement_rejected, b.movement_rejected);
+  EXPECT_EQ(a.full_evals, b.full_evals);
+  EXPECT_EQ(a.delta_evals, b.delta_evals);
+  EXPECT_EQ(a.used_full_striping_fallback, b.used_full_striping_fallback);
+  EXPECT_EQ(a.timed_out, b.timed_out);
+  ASSERT_EQ(base.layout.num_objects(), other.layout.num_objects());
+  for (int i = 0; i < base.layout.num_objects(); ++i) {
+    for (int j = 0; j < base.layout.num_disks(); ++j) {
+      ASSERT_EQ(base.layout.x(i, j), other.layout.x(i, j))
+          << "object " << i << " disk " << j;
+    }
+  }
 }
 
 TEST(ParallelSearchTest, ThreadCountDoesNotChangeTheResult) {
@@ -364,26 +392,43 @@ TEST(ParallelSearchTest, ThreadCountDoesNotChangeTheResult) {
 
   const SearchResult base = RunAtThreads(db, fleet, profile, rc, 1);
   for (int threads : {2, 8}) {
-    const SearchResult other = RunAtThreads(db, fleet, profile, rc, threads);
-    EXPECT_EQ(base.cost, other.cost) << threads << " threads";
-    EXPECT_EQ(base.greedy_iterations, other.greedy_iterations);
-    EXPECT_EQ(base.layouts_evaluated, other.layouts_evaluated);
-    EXPECT_EQ(base.telemetry.cost_trajectory, other.telemetry.cost_trajectory);
-    EXPECT_EQ(base.telemetry.widen_considered, other.telemetry.widen_considered);
-    EXPECT_EQ(base.telemetry.jump_considered, other.telemetry.jump_considered);
-    EXPECT_EQ(base.telemetry.narrow_considered,
-              other.telemetry.narrow_considered);
-    EXPECT_EQ(base.telemetry.full_evals, other.telemetry.full_evals);
-    EXPECT_EQ(base.telemetry.delta_evals, other.telemetry.delta_evals);
-    ASSERT_EQ(base.layout.num_objects(), other.layout.num_objects());
-    for (int i = 0; i < base.layout.num_objects(); ++i) {
-      for (int j = 0; j < base.layout.num_disks(); ++j) {
-        ASSERT_EQ(base.layout.x(i, j), other.layout.x(i, j))
-            << "object " << i << " disk " << j << " at " << threads
-            << " threads";
-      }
-    }
+    ExpectSameRun(base, RunAtThreads(db, fleet, profile, rc, threads),
+                  threads);
   }
+}
+
+TEST(ParallelSearchTest, CancelAfterFirstIterationIsThreadCountInvariant) {
+  // The cancel flag is raised after the first accepted iteration; the search
+  // stops at the next check with the same best-so-far at any thread count.
+  Database db = MicroDb();
+  DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 42);
+  WorkloadProfile profile = MicroProfile(db);
+  ResolvedConstraints rc = NoConstraints(db);
+  auto run = [&](int threads) {
+    std::atomic<bool> cancel{false};
+    SearchOptions opts;
+    opts.cancel_requested = &cancel;
+    opts.progress_hook = [&cancel](const SearchProgress&) {
+      cancel.store(true);
+    };
+    return RunAtThreads(db, fleet, profile, rc, threads, opts);
+  };
+  const SearchResult base = run(1);
+  EXPECT_TRUE(base.timed_out);
+  EXPECT_EQ(base.greedy_iterations, 1);
+  ExpectSameRun(base, run(4), 4);
+}
+
+TEST(ParallelSearchTest, ZeroBudgetIsThreadCountInvariant) {
+  Database db = MicroDb();
+  DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 42);
+  WorkloadProfile profile = MicroProfile(db);
+  ResolvedConstraints rc = NoConstraints(db);
+  SearchOptions opts;
+  opts.time_budget_ms = 0.0;  // expires immediately, deterministically
+  const SearchResult base = RunAtThreads(db, fleet, profile, rc, 1, opts);
+  EXPECT_TRUE(base.timed_out);
+  ExpectSameRun(base, RunAtThreads(db, fleet, profile, rc, 4, opts), 4);
 }
 
 TEST(ParallelSearchTest, EvaluationAccountingIsConsistent) {

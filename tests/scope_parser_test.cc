@@ -1,8 +1,8 @@
 // Tests for the declaration/scope parser (src/staticcheck/scope_parser.h):
 // function-definition recognition (free, inline member, out-of-line),
-// class-field harvesting with DBLAYOUT_GUARDED_BY / DBLAYOUT_REQUIRES,
-// local-scope resolution with nesting and shadowing, and call-graph /
-// taint-propagation behavior on recursive and mutually-recursive chains.
+// class-field harvesting with DBLAYOUT_GUARDED_BY / DBLAYOUT_REQUIRES, and
+// call-graph / taint-propagation behavior on recursive and
+// mutually-recursive chains.
 
 #include <gtest/gtest.h>
 
@@ -155,69 +155,6 @@ TEST(ScopeParserTest, MethodsAndStaticsAreNotFields) {
   EXPECT_EQ(cls->FindField("kMax"), nullptr);
   EXPECT_EQ(cls->FindField("Clock"), nullptr);
   EXPECT_NE(cls->FindField("real_"), nullptr);
-}
-
-// --- Local scopes, nesting, shadowing --------------------------------------
-
-TEST(ScopeParserTest, FindLocalDeclScopeResolvesNesting) {
-  const std::string src =
-      "void F() {\n"
-      "  int outer = 0;\n"
-      "  {\n"
-      "    int inner = 1;\n"
-      "    Use(outer, inner);\n"
-      "  }\n"
-      "  Use(outer);\n"
-      "}\n";
-  const LexedSource lex = LexCpp(src);
-  const FileModel fm = BuildFileModel(lex);
-  const FunctionDef* fn = FindFn(fm, "F");
-  ASSERT_NE(fn, nullptr);
-  // Find the token index of the first Use call.
-  size_t use = 0;
-  for (size_t i = fn->body_begin; i < fn->body_end; ++i) {
-    if (lex.tokens[i].ident("Use")) {
-      use = i;
-      break;
-    }
-  }
-  ASSERT_GT(use, 0u);
-  const TokRange outer = FindLocalDeclScope(lex.tokens, *fn, use, "outer");
-  const TokRange inner = FindLocalDeclScope(lex.tokens, *fn, use, "inner");
-  ASSERT_TRUE(outer.valid());
-  ASSERT_TRUE(inner.valid());
-  // The inner block is strictly contained in the function body scope.
-  EXPECT_GE(inner.begin, outer.begin);
-  EXPECT_LT(inner.end, outer.end);
-  // Parameters and unknown names have no local scope.
-  EXPECT_FALSE(FindLocalDeclScope(lex.tokens, *fn, use, "nothere").valid());
-}
-
-TEST(ScopeParserTest, FindLocalDeclScopeResolvesShadowingToInnermost) {
-  const std::string src =
-      "void F() {\n"
-      "  int v = 0;\n"
-      "  {\n"
-      "    int v = 1;\n"
-      "    Use(v);\n"
-      "  }\n"
-      "}\n";
-  const LexedSource lex = LexCpp(src);
-  const FileModel fm = BuildFileModel(lex);
-  const FunctionDef* fn = FindFn(fm, "F");
-  ASSERT_NE(fn, nullptr);
-  size_t use = 0;
-  for (size_t i = fn->body_begin; i < fn->body_end; ++i) {
-    if (lex.tokens[i].ident("Use")) {
-      use = i;
-      break;
-    }
-  }
-  ASSERT_GT(use, 0u);
-  const TokRange scope = FindLocalDeclScope(lex.tokens, *fn, use, "v");
-  ASSERT_TRUE(scope.valid());
-  // Innermost wins: the scope must end before the function body does.
-  EXPECT_LT(scope.end, fn->body_end);
 }
 
 // --- Program model & call graph --------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for dblayout_check (src/staticcheck/): positive + negative fixture
-// snippets per rule (including the scope-aware lock-discipline,
-// capture-escape and determinism-taint families), suppression and baseline
+// snippets per rule (including the scope-aware lock-discipline and
+// determinism-taint families), suppression and baseline
 // semantics (stale entries included), job-count invariance of the parallel
 // runner, the cross-file symbol harvest, and a golden SARIF rendering —
 // mirroring the lint_test.cc conventions.
@@ -354,6 +354,15 @@ TEST(StaticCheckTest, ParallelCaptureFiresOnBareRefCapture) {
   const auto diags = ById(report, "parallel-default-ref-capture");
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].severity, LintSeverity::kWarning);
+}
+
+TEST(StaticCheckTest, ParallelCaptureFiresOnSharedParallelFor) {
+  const LintReport report = Check(
+      "src/x.cc",
+      "ThreadPool::SharedParallelFor(n, threads, [&](int64_t i, int w) {\n"
+      "  out[i] = f(i);\n"
+      "});\n");
+  EXPECT_EQ(ById(report, "parallel-default-ref-capture").size(), 1u);
 }
 
 TEST(StaticCheckTest, ParallelCaptureQuietOnNamedCaptures) {
@@ -718,78 +727,6 @@ TEST(UnannotatedFieldTest, QuietWithoutAMutexMember) {
   EXPECT_TRUE(ById(report, "unannotated-mutex-field").empty());
 }
 
-// --- capture-escape --------------------------------------------------------
-
-TEST(CaptureEscapeTest, FiresOnRefCaptureOfDyingLocal) {
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool) {\n"
-                                  "  {\n"
-                                  "    int local = 1;\n"
-                                  "    pool.Submit([&local] { Use(local); });\n"
-                                  "  }\n"
-                                  "  pool.Wait();\n"
-                                  "}\n");
-  const auto diags = ById(report, "capture-escape");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, LintSeverity::kError);
-  EXPECT_EQ(diags[0].line, 4);
-  EXPECT_NE(diags[0].message.find("local"), std::string::npos);
-}
-
-TEST(CaptureEscapeTest, QuietWhenWaitInsideScope) {
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool) {\n"
-                                  "  {\n"
-                                  "    int local = 1;\n"
-                                  "    pool.Submit([&local] { Use(local); });\n"
-                                  "    pool.Wait();\n"
-                                  "  }\n"
-                                  "}\n");
-  EXPECT_TRUE(ById(report, "capture-escape").empty());
-}
-
-TEST(CaptureEscapeTest, QuietOnParameterCapture) {
-  // Parameters have function lifetime; only block-scoped locals can die
-  // under the task.
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool, int n) {\n"
-                                  "  pool.Submit([&n] { Use(n); });\n"
-                                  "  pool.Wait();\n"
-                                  "}\n");
-  EXPECT_TRUE(ById(report, "capture-escape").empty());
-}
-
-TEST(CaptureEscapeTest, DefaultRefCaptureNeedsWaitBeforeReturn) {
-  const LintReport no_wait = Check("src/x.cc",
-                                   "void F(ThreadPool& pool) {\n"
-                                   "  int x = 0;\n"
-                                   "  pool.Submit([&] { Use(x); });\n"
-                                   "}\n");
-  ASSERT_EQ(ById(no_wait, "capture-escape").size(), 1u);
-  const LintReport with_wait = Check("src/x.cc",
-                                     "void F(ThreadPool& pool) {\n"
-                                     "  int x = 0;\n"
-                                     "  pool.Submit([&] { Use(x); });\n"
-                                     "  pool.Wait();\n"
-                                     "}\n");
-  EXPECT_TRUE(ById(with_wait, "capture-escape").empty());
-}
-
-TEST(CaptureEscapeTest, ShadowedLocalResolvesToInnermostScope) {
-  // The inner `local` shadows the outer one; its scope ends with the inner
-  // block, and the Wait() out there only covers the outer declaration.
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool) {\n"
-                                  "  int local = 0;\n"
-                                  "  {\n"
-                                  "    int local = 1;\n"
-                                  "    pool.Submit([&local] { Use(local); });\n"
-                                  "  }\n"
-                                  "  pool.Wait();\n"
-                                  "}\n");
-  EXPECT_EQ(ById(report, "capture-escape").size(), 1u);
-}
-
 // --- Parallel runner -------------------------------------------------------
 
 TEST(ParallelRunTest, ReportByteIdenticalAcrossJobCounts) {
@@ -868,7 +805,7 @@ TEST(ReportTest, DiagnosticsSortedAndRulesListed) {
   // Errors (raw-random) sort before warnings (unordered-iteration-order).
   EXPECT_EQ(report.diagnostics[0].rule_id, "raw-random");
   // Rule metadata present and id-sorted, including the meta rule.
-  ASSERT_EQ(report.rules.size(), 14u);
+  ASSERT_EQ(report.rules.size(), 13u);
   for (size_t i = 1; i < report.rules.size(); ++i) {
     EXPECT_LT(report.rules[i - 1].id, report.rules[i].id);
   }
@@ -924,14 +861,6 @@ TEST(ReportTest, ScopedRulesSarifMatchesGoldenFile) {
                    "  Mutex mu_;\n"
                    "  int count_ = 0;\n"
                    "};\n");
-  runner.AddSource("src/escape.cc",
-                   "void F(ThreadPool& pool) {\n"
-                   "  {\n"
-                   "    int local = 1;\n"
-                   "    pool.Submit([&local] { Use(local); });\n"
-                   "  }\n"
-                   "  pool.Wait();\n"
-                   "}\n");
   runner.AddSource("src/layout/taint.cc",
                    "double Budget() {\n"
                    "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
@@ -954,7 +883,7 @@ TEST(ReportTest, ScopedRulesSarifMatchesGoldenFile) {
       << " (regenerate with DBLAYOUT_UPDATE_GOLDEN=1)";
   // Sanity: every scoped family is present in the golden run.
   for (const char* rule :
-       {"guarded-by-violation", "unannotated-mutex-field", "capture-escape",
+       {"guarded-by-violation", "unannotated-mutex-field",
         "determinism-taint"}) {
     EXPECT_NE(got.find(std::string("\"ruleId\": \"") + rule + "\""),
               std::string::npos)
