@@ -1,6 +1,7 @@
 // Evaluation-engine bench: full recomputation vs incremental delta costing
 // vs deterministic parallel candidate scoring (LayoutEvaluator +
-// ThreadPool), on the TPCH-22 workload and the Table 2 query subset.
+// ThreadPool), on the TPCH-22 workload, the Table 2 query subset and
+// APB-800 (whose 2,398 sub-plans intern to a few dozen distinct shapes).
 //
 // The workload of one greedy iteration is scored three ways over the same
 // candidate set (every object widened by one drive from full striping):
@@ -10,11 +11,13 @@
 // Delta totals must be bit-identical to the full recomputation (that is the
 // evaluator's contract), so the speedup column is a pure wall-clock story.
 // A final case runs the whole TS-GREEDY search with 1 and 8 scoring threads
-// and checks the results are identical.
+// and checks the results are identical. The bench exits 1 if any case's
+// max |full - delta| is non-zero or the two searches differ.
 
 #include <cmath>
 
 #include "bench/bench_util.h"
+#include "benchdata/apb.h"
 #include "benchdata/tpch.h"
 #include "common/thread_pool.h"
 #include "layout/evaluator.h"
@@ -64,6 +67,7 @@ std::vector<Candidate> WidenByOneCandidates(const Layout& layout, int m) {
 struct CaseResult {
   size_t candidates = 0;
   int subplans = 0;
+  int shapes = 0;  // distinct access lists the evaluator costs per Bind
   double full_s = 0;
   double delta_s = 0;
   double par_s[2] = {0, 0};  // 2 and 8 threads
@@ -90,6 +94,7 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
   LayoutEvaluator evaluator(profile, cm);
   evaluator.Bind(start);
   r.subplans = evaluator.num_subplans();
+  r.shapes = evaluator.num_shapes();
 
   std::vector<double> full_costs(cands.size(), 0.0);
   std::vector<double> delta_costs(cands.size(), 0.0);
@@ -172,22 +177,33 @@ int main() {
     table2.statements.push_back(std::move(copy));
   }
 
+  // APB-800 over its own schema, on the same drives.
+  Database apb = benchdata::MakeApbDatabase();
+  Workload apb800 = Unwrap(benchdata::MakeApb800Workload(apb), "apb-800");
+  WorkloadProfile profile_apb = Unwrap(AnalyzeWorkload(apb, apb800), "analyze");
+
   BenchJson json("eval");
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"workload", "cands", "subplans", "full(ms)", "delta(ms)",
-                  "par2(ms)", "par8(ms)", "delta speedup", "par8 speedup",
-                  "max |full-delta|"});
+  rows.push_back({"workload", "cands", "subplans", "shapes", "full(ms)",
+                  "delta(ms)", "par2(ms)", "par8(ms)", "delta speedup",
+                  "par8 speedup", "max |full-delta|"});
 
   struct Case {
     const char* name;
+    const Database* db;
     const WorkloadProfile* profile;
+    int rounds;
   };
-  for (const Case& c : {Case{"TPCH-22", &profile22}, Case{"Table2", &table2}}) {
-    const CaseResult r = RunCase(db, fleet, *c.profile, /*rounds=*/20);
+  bool parity = true;
+  for (const Case& c : {Case{"TPCH-22", &db, &profile22, 20},
+                        Case{"Table2", &db, &table2, 20},
+                        Case{"APB-800", &apb, &profile_apb, 2}}) {
+    const CaseResult r = RunCase(*c.db, fleet, *c.profile, c.rounds);
+    parity = parity && r.max_abs_diff == 0;
     const double delta_speedup = r.delta_s > 0 ? r.full_s / r.delta_s : 0;
     const double par8_speedup = r.par_s[1] > 0 ? r.full_s / r.par_s[1] : 0;
     rows.push_back({c.name, StrFormat("%zu", r.candidates),
-                    StrFormat("%d", r.subplans),
+                    StrFormat("%d", r.subplans), StrFormat("%d", r.shapes),
                     StrFormat("%.2f", 1e3 * r.full_s),
                     StrFormat("%.2f", 1e3 * r.delta_s),
                     StrFormat("%.2f", 1e3 * r.par_s[0]),
@@ -198,6 +214,7 @@ int main() {
     json.Add(c.name,
              {{"candidates", StrFormat("%zu", r.candidates)},
               {"subplans", StrFormat("%d", r.subplans)},
+              {"shapes", StrFormat("%d", r.shapes)},
               {"full_s", StrFormat("%.6f", r.full_s)},
               {"delta_s", StrFormat("%.6f", r.delta_s)},
               {"par2_s", StrFormat("%.6f", r.par_s[0])},
@@ -208,8 +225,13 @@ int main() {
   }
   PrintTable(
       "Per-iteration candidate scoring: full recomputation vs delta costing "
-      "vs parallel (TPCH1G, 8 drives)",
+      "vs parallel (8 drives)",
       rows);
+  if (!parity) {
+    std::fprintf(stderr, "FAIL: delta totals differ from full recomputation\n");
+    json.Write();
+    return 1;
+  }
 
   // Whole-search determinism: the same recommendation, bit for bit, with 1
   // and 8 scoring threads.

@@ -32,9 +32,12 @@ struct AdvisorOptions {
   /// statements count as co-accessed. Reported per-statement impacts still
   /// refer to the original statements.
   bool model_concurrency = false;
-  /// Collapse statements with identical access signatures before searching
-  /// (see CompressProfile). Cost-invariant; speeds up large repetitive
-  /// workloads. Off by default to mirror the paper's setup.
+  /// Collapse statements with equal access signatures before searching
+  /// (see CompressProfile). Speeds up large repetitive workloads, but is
+  /// cost-preserving only to within rounding (block counts match to 3
+  /// decimals, merged weights are summed), so costs and, rarely, the chosen
+  /// layout can differ from the uncompressed search. Off by default to
+  /// mirror the paper's setup.
   bool compress_workload = false;
 };
 

@@ -1,6 +1,9 @@
 #include "layout/evaluator.h"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <tuple>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
@@ -9,68 +12,131 @@
 
 namespace dblayout {
 
+namespace {
+
+/// Exact intern key of one access: every field of ObjectAccess, with
+/// `blocks` compared by bit pattern so values one ulp apart stay distinct.
+using AccessKey = std::tuple<int, uint64_t, bool, bool, bool>;
+
+AccessKey KeyOf(const ObjectAccess& a) {
+  return {a.object_id, std::bit_cast<uint64_t>(a.blocks), a.is_write, a.random,
+          a.read_modify_write};
+}
+
+/// Appends `id` to `list` unless it is already the last entry. Ids are
+/// visited in increasing order, so this dedups the whole list.
+void AppendOnce(std::vector<int32_t>* list, int32_t id) {
+  if (list->empty() || list->back() != id) list->push_back(id);
+}
+
+/// Marks `id` overridden in `epoch`, recording it once per epoch.
+void Touch(LayoutEvaluator::Overrides* o, int32_t id, int64_t epoch) {
+  int64_t& stamp = o->stamp[static_cast<size_t>(id)];
+  if (stamp == epoch) return;
+  stamp = epoch;
+  o->ids.push_back(id);
+}
+
+/// Puts the bound costs back over the previous epoch's overrides.
+void Undo(LayoutEvaluator::Overrides* o, const std::vector<double>& bound) {
+  for (int32_t id : o->ids) {
+    o->cost[static_cast<size_t>(id)] = bound[static_cast<size_t>(id)];
+  }
+  o->ids.clear();
+}
+
+}  // namespace
+
 LayoutEvaluator::LayoutEvaluator(const WorkloadProfile& profile,
                                  const CostModel& cost_model)
     : profile_(profile), cost_model_(cost_model) {
-  // Flatten (statement, sub-plan) in WorkloadCost's iteration order and
-  // build the object -> flat-sub-plan inverted index.
+  // Intern every sub-plan's access list as a shape and every statement's
+  // shape sequence as a term, ids in first-appearance order.
   size_t num_objects = profile.num_objects;
+  std::map<std::vector<AccessKey>, int32_t> shape_ids;
+  std::map<std::vector<int32_t>, int32_t> term_ids;
+  std::vector<AccessKey> key;
+  std::vector<int32_t> sequence;
+  term_begin_.push_back(0);
   statements_.reserve(profile.statements.size());
   for (const StatementProfile& s : profile.statements) {
-    statements_.push_back(
-        StatementSpan{s.weight, static_cast<int>(s.subplans.size())});
+    sequence.clear();
     for (const SubplanAccess& sp : s.subplans) {
-      flat_.push_back(FlatSubplan{&sp});
+      key.clear();
       for (const ObjectAccess& a : sp.accesses) {
+        key.push_back(KeyOf(a));
         num_objects = std::max(num_objects, static_cast<size_t>(a.object_id) + 1);
       }
+      const auto shape = shape_ids.try_emplace(
+          key, static_cast<int32_t>(shapes_.size()));
+      if (shape.second) shapes_.push_back(&sp);
+      sequence.push_back(shape.first->second);
+      ++num_subplans_;
+    }
+    const auto term = term_ids.try_emplace(
+        sequence, static_cast<int32_t>(term_begin_.size() - 1));
+    if (term.second) {
+      term_shapes_.insert(term_shapes_.end(), sequence.begin(), sequence.end());
+      term_begin_.push_back(static_cast<int32_t>(term_shapes_.size()));
+    }
+    statements_.push_back(WeightedTerm{s.weight, term.first->second});
+  }
+
+  // Inverted index. An object accessed twice in one shape (a self-join)
+  // still invalidates it once; a shape occurring twice in one term still
+  // re-sums it once.
+  object_shapes_.resize(num_objects);
+  for (size_t id = 0; id < shapes_.size(); ++id) {
+    for (const ObjectAccess& a : shapes_[id]->accesses) {
+      AppendOnce(&object_shapes_[static_cast<size_t>(a.object_id)],
+                 static_cast<int32_t>(id));
     }
   }
-  object_subplans_.resize(num_objects);
-  int32_t flat_id = 0;
-  for (const StatementProfile& s : profile.statements) {
-    for (const SubplanAccess& sp : s.subplans) {
-      // Dedup per sub-plan: an object accessed twice in one sub-plan (e.g.
-      // a self-join) still invalidates it once.
-      for (const ObjectAccess& a : sp.accesses) {
-        std::vector<int32_t>& list =
-            object_subplans_[static_cast<size_t>(a.object_id)];
-        if (list.empty() || list.back() != flat_id) list.push_back(flat_id);
-      }
-      ++flat_id;
+  shape_terms_.resize(shapes_.size());
+  for (size_t t = 0; t + 1 < term_begin_.size(); ++t) {
+    for (int32_t k = term_begin_[t]; k < term_begin_[t + 1]; ++k) {
+      const size_t id = static_cast<size_t>(term_shapes_[static_cast<size_t>(k)]);
+      AppendOnce(&shape_terms_[id], static_cast<int32_t>(t));
     }
   }
 }
 
-double LayoutEvaluator::SumTotal(const Scratch* scratch) const {
-  // Exact association order of CostModel::WorkloadCost/StatementCost: the
-  // sub-plan costs of one statement are summed left to right, then each
-  // statement contributes weight * sum. With identical per-sub-plan values
-  // (SubplanCost is pure), the result is bit-identical to a full
-  // recomputation — the invariant the greedy search's determinism rests on.
+double LayoutEvaluator::TermCost(int32_t term,
+                                 const std::vector<double>& shape_costs) const {
+  double cost = 0;
+  for (int32_t k = term_begin_[static_cast<size_t>(term)];
+       k < term_begin_[static_cast<size_t>(term) + 1]; ++k) {
+    cost += shape_costs[static_cast<size_t>(term_shapes_[static_cast<size_t>(k)])];
+  }
+  return cost;
+}
+
+double LayoutEvaluator::SumTotal(const std::vector<double>& term_costs) const {
+  // Exact association order of CostModel::WorkloadCost: each statement
+  // contributes weight * (its term's cost), in profile order. With identical
+  // per-term values (TermCost mirrors StatementCost), the result is
+  // bit-identical to a full recomputation — the invariant the greedy
+  // search's determinism rests on.
   double total = 0;
-  size_t f = 0;
-  for (const StatementSpan& st : statements_) {
-    double statement_cost = 0;
-    for (int k = 0; k < st.count; ++k, ++f) {
-      statement_cost += (scratch != nullptr && scratch->stamp[f] == scratch->epoch)
-                            ? scratch->override_cost[f]
-                            : subplan_cost_[f];
-    }
-    total += st.weight * statement_cost;
+  for (const WeightedTerm& st : statements_) {
+    total += st.weight * term_costs[static_cast<size_t>(st.term)];
   }
   return total;
 }
 
 double LayoutEvaluator::Bind(const Layout& layout) {
   DBLAYOUT_CHECK(layout.num_objects() >=
-                 static_cast<int>(object_subplans_.size()));
+                 static_cast<int>(object_shapes_.size()));
   layout_ = layout;
-  subplan_cost_.resize(flat_.size());
-  for (size_t f = 0; f < flat_.size(); ++f) {
-    subplan_cost_[f] = cost_model_.SubplanCost(*flat_[f].subplan, layout_);
+  shape_cost_.resize(shapes_.size());
+  for (size_t id = 0; id < shapes_.size(); ++id) {
+    shape_cost_[id] = cost_model_.SubplanCost(*shapes_[id], layout_);
   }
-  total_ = SumTotal(nullptr);
+  term_cost_.resize(term_begin_.size() - 1);
+  for (size_t t = 0; t < term_cost_.size(); ++t) {
+    term_cost_[t] = TermCost(static_cast<int32_t>(t), shape_cost_);
+  }
+  total_ = SumTotal(term_cost_);
   bound_ = true;
   staging_ = MakeScratch();
   staged_valid_ = false;
@@ -80,8 +146,7 @@ double LayoutEvaluator::Bind(const Layout& layout) {
   if (journal_ != nullptr) {
     journal_->Append("bind",
                      {{"cost", obs::JsonDouble(total_)},
-                      {"subplans", obs::JsonInt(static_cast<int64_t>(
-                                       flat_.size()))}});
+                      {"subplans", obs::JsonInt(num_subplans_)}});
   }
   AuditParity();
   return total_;
@@ -91,8 +156,10 @@ LayoutEvaluator::Scratch LayoutEvaluator::MakeScratch() const {
   DBLAYOUT_DCHECK(bound_);
   Scratch s;
   s.layout = layout_;
-  s.override_cost.assign(flat_.size(), 0.0);
-  s.stamp.assign(flat_.size(), 0);
+  s.shapes.cost = shape_cost_;
+  s.shapes.stamp.assign(shape_cost_.size(), 0);
+  s.terms.cost = term_cost_;
+  s.terms.stamp.assign(term_cost_.size(), 0);
   s.epoch = 0;
   return s;
 }
@@ -103,6 +170,10 @@ double LayoutEvaluator::ScoreCore(const std::vector<int>& objects,
                                   bool restore) const {
   DBLAYOUT_DCHECK(bound_);
   Scratch& s = *scratch;
+  // The previous score's overrides stay in place until now, so the staging
+  // path can Commit them.
+  Undo(&s.shapes, shape_cost_);
+  Undo(&s.terms, term_cost_);
   ++s.epoch;
   const int m = layout_.num_disks();
 
@@ -116,23 +187,25 @@ double LayoutEvaluator::ScoreCore(const std::vector<int>& objects,
   }
   apply(s.layout);
 
-  // Affected sub-plans: the union of the moved objects' inverted-index
-  // entries, deduped by epoch stamp.
-  s.affected.clear();
+  // Affected shapes: the union of the moved objects' inverted-index
+  // entries; affected terms: the union of those shapes' terms. Both are
+  // deduped by epoch stamp.
   for (int obj : objects) {
-    if (static_cast<size_t>(obj) >= object_subplans_.size()) continue;
-    for (int32_t id : object_subplans_[static_cast<size_t>(obj)]) {
-      if (s.stamp[static_cast<size_t>(id)] != s.epoch) {
-        s.stamp[static_cast<size_t>(id)] = s.epoch;
-        s.affected.push_back(id);
-      }
+    if (static_cast<size_t>(obj) >= object_shapes_.size()) continue;
+    for (int32_t id : object_shapes_[static_cast<size_t>(obj)]) {
+      Touch(&s.shapes, id, s.epoch);
     }
   }
-  for (int32_t id : s.affected) {
-    s.override_cost[static_cast<size_t>(id)] =
-        cost_model_.SubplanCost(*flat_[static_cast<size_t>(id)].subplan, s.layout);
+  for (int32_t id : s.shapes.ids) {
+    s.shapes.cost[static_cast<size_t>(id)] =
+        cost_model_.SubplanCost(*shapes_[static_cast<size_t>(id)], s.layout);
+    for (int32_t t : shape_terms_[static_cast<size_t>(id)]) {
+      Touch(&s.terms, t, s.epoch);
+    }
   }
-  const double total = SumTotal(&s);
+  for (int32_t t : s.terms.ids) {
+    s.terms.cost[static_cast<size_t>(t)] = TermCost(t, s.shapes.cost);
+  }
 
   if (restore) RestoreScratchRows(objects, &s);
 
@@ -140,8 +213,10 @@ double LayoutEvaluator::ScoreCore(const std::vector<int>& objects,
   cost_model_.NoteExternalWorkloadEvaluation();
   DBLAYOUT_OBS_COUNT("evaluator/delta_evals", 1);
   DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted",
-                     static_cast<int64_t>(s.affected.size()));
-  return total;
+                     static_cast<int64_t>(s.shapes.ids.size()));
+  // The fold comes last: with no call after it, the compiler keeps its
+  // accumulator in a register instead of spilling it around the calls above.
+  return SumTotal(s.terms.cost);
 }
 
 void LayoutEvaluator::RestoreScratchRows(const std::vector<int>& objects,
@@ -186,9 +261,10 @@ double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
   staged_valid_ = false;
   const double total = ScoreCore(objects, apply, &staging_, /*restore=*/false);
 
-  // Capture the candidate (rows, re-costed sub-plans, total) while the
-  // staging scratch still holds the applied rows, then put the scratch back
-  // in sync with the bound layout.
+  // Capture the candidate rows and total while the staging scratch still
+  // holds the applied rows, then put the scratch back in sync with the bound
+  // layout. Its shape and term overrides stay valid for Commit: only
+  // DeltaCore scores into staging_.
   const int m = layout_.num_disks();
   staged_objects_ = objects;
   staged_rows_.resize(objects.size() * static_cast<size_t>(m));
@@ -197,12 +273,6 @@ double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
       staged_rows_[k * static_cast<size_t>(m) + static_cast<size_t>(j)] =
           staging_.layout.x(objects[k], j);
     }
-  }
-  staged_affected_.assign(staging_.affected.begin(), staging_.affected.end());
-  staged_costs_.resize(staged_affected_.size());
-  for (size_t a = 0; a < staged_affected_.size(); ++a) {
-    staged_costs_[a] =
-        staging_.override_cost[static_cast<size_t>(staged_affected_[a])];
   }
   staged_total_ = total;
   staged_valid_ = true;
@@ -248,8 +318,13 @@ void LayoutEvaluator::Commit() {
       staging_.layout.set_x(staged_objects_[k], j, v);
     }
   }
-  for (size_t a = 0; a < staged_affected_.size(); ++a) {
-    subplan_cost_[static_cast<size_t>(staged_affected_[a])] = staged_costs_[a];
+  for (int32_t id : staging_.shapes.ids) {
+    shape_cost_[static_cast<size_t>(id)] =
+        staging_.shapes.cost[static_cast<size_t>(id)];
+  }
+  for (int32_t t : staging_.terms.ids) {
+    term_cost_[static_cast<size_t>(t)] =
+        staging_.terms.cost[static_cast<size_t>(t)];
   }
   total_ = staged_total_;
   staged_valid_ = false;

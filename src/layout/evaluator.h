@@ -5,21 +5,32 @@
 //   WorkloadCost(L) = sum_Q w_Q * sum_{P in Q} max_j (Transfer_Pj + Seek_Pj)
 //
 // — a weighted sum over sub-plans of a per-sub-plan term that depends only
-// on the layout rows of the objects that sub-plan touches. Moving one object
-// (or one co-location group) therefore invalidates exactly the sub-plans in
-// its inverted-index entry; every other cached sub-plan cost is still exact.
-// The LayoutEvaluator exploits this: it binds to one (profile, fleet) pair,
-// caches the per-sub-plan costs of the current layout, and scores a
-// candidate move by re-costing only the affected sub-plans and re-summing
-// the totals in the *same association order* as CostModel::WorkloadCost.
-// Because CostModel::SubplanCost is a pure function and the summation order
-// is identical, a delta-scored total is bit-identical to a full
-// recomputation of the candidate — which is what makes the greedy search's
-// results independent of whether the delta path, the full path, or parallel
-// scoring produced them. CostModel stays the thin ground-truth oracle: the
-// evaluator calls it per sub-plan and is DCHECK-audited against a
-// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal) after
-// every committed move.
+// on the sub-plan's access list and the layout rows of the objects it
+// touches. Real workloads repeat those lists heavily (APB-800: 2,398
+// sub-plans, 40 distinct access lists, 126 distinct per-statement
+// sequences), so the evaluator interns them once, at construction:
+//
+//   shape — one distinct access list, keyed exactly by its ordered
+//           (object, bit pattern of blocks, write, random, read-modify-write)
+//           tuples; it caches one SubplanCost.
+//   term  — one distinct per-statement sequence of shape ids; it caches the
+//           left-to-right sum of its shapes' costs (StatementCost).
+//
+// A statement is then (weight, term), and the inverted index is
+// object -> shapes plus shape -> terms. Moving one object (or one
+// co-location group) re-costs only the shapes in its index entry, re-sums
+// only the terms those shapes occur in, and folds
+// total += w_Q * term_cost over the statements in workload order. Every
+// floating-point operation sees the same operands in the same order as
+// CostModel::WorkloadCost (SubplanCost is a pure function of the access
+// list, a term sums left to right from 0 exactly as StatementCost does, and
+// the fold visits statements in profile order), so a delta-scored total is
+// bit-identical to a full recomputation of the candidate — which is what
+// makes the greedy search's results independent of whether the delta path,
+// the full path, or parallel scoring produced them. CostModel stays the
+// thin ground-truth oracle: the evaluator calls it once per shape and is
+// DCHECK-audited against a from-scratch recomputation
+// (InvariantAuditor::AuditWorkloadTotal) after every committed move.
 //
 // Thread model: Score* methods are const, touch shared state only read-only,
 // and confine all mutation to a caller-provided Scratch — one Scratch per
@@ -49,21 +60,30 @@ class LayoutEvaluator {
   /// evaluator; the profile's statement/sub-plan structure must not change.
   LayoutEvaluator(const WorkloadProfile& profile, const CostModel& cost_model);
 
-  /// Per-worker scoring state: a private copy of the bound layout plus
-  /// epoch-stamped sub-plan cost overrides. Valid until the next
-  /// Bind/Commit; create fresh Scratches (MakeScratch) after either.
-  struct Scratch {
-    Layout layout;
-    std::vector<double> override_cost;  ///< per flat sub-plan, current epoch
-    std::vector<int64_t> stamp;         ///< epoch that wrote override_cost
-    int64_t epoch = 0;
-    std::vector<int32_t> affected;      ///< flat ids touched by this score
-    std::vector<double> saved_rows;     ///< row backup while scoring
+  /// Candidate costs for one intern table (shapes or terms): a copy of the
+  /// bound costs with the last score's re-costed entries written over it,
+  /// so the statement fold reads one array without a per-entry branch. The
+  /// next score on the same Scratch puts the bound costs back first.
+  struct Overrides {
+    std::vector<double> cost;
+    std::vector<int64_t> stamp;  ///< epoch that last overrode each id
+    std::vector<int32_t> ids;    ///< ids overridden this epoch, first-touch order
   };
 
-  /// Full recomputation: copies `layout`, re-costs every sub-plan through
-  /// the oracle, and caches the results. Counts one (full) workload
-  /// evaluation. Returns the total, bit-identical to
+  /// Per-worker scoring state: a private copy of the bound layout plus
+  /// shape and term cost overrides. Valid until the next Bind/Commit;
+  /// create fresh Scratches (MakeScratch) after either.
+  struct Scratch {
+    Layout layout;
+    Overrides shapes;
+    Overrides terms;
+    int64_t epoch = 0;
+    std::vector<double> saved_rows;  ///< row backup while scoring
+  };
+
+  /// Full recomputation: copies `layout`, re-costs every shape through the
+  /// oracle, re-sums every term, and caches the results. Counts one (full)
+  /// workload evaluation. Returns the total, bit-identical to
   /// CostModel::WorkloadCost(profile, layout).
   double Bind(const Layout& layout);
 
@@ -75,9 +95,10 @@ class LayoutEvaluator {
   const Layout& layout() const { return layout_; }
 
   /// Test/fault-injection access to the bound layout. Mutating it stales the
-  /// cached sub-plan costs; callers must Bind() again before scoring (the
-  /// greedy search uses this only for SearchOptions::post_move_hook_for_test,
-  /// whose corruption is meant to be caught by the row audit).
+  /// cached shape and term costs; callers must Bind() again before scoring
+  /// (the greedy search uses this only for
+  /// SearchOptions::post_move_hook_for_test, whose corruption is meant to be
+  /// caught by the row audit).
   Layout& mutable_layout_for_test() { return layout_; }
 
   Scratch MakeScratch() const;
@@ -115,8 +136,8 @@ class LayoutEvaluator {
   double DeltaForRowsFromMove(const std::vector<int>& objects, const Layout& rows);
 
   /// Adopts the staged move: writes the new rows into the bound layout,
-  /// installs the re-costed sub-plan cache entries, and updates TotalCost()
-  /// to the staged total. Debug builds then audit the new total against a
+  /// installs the re-costed shape and term cache entries, and updates
+  /// TotalCost() to the staged total. Debug builds then audit the new total against a
   /// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal).
   void Commit();
 
@@ -131,7 +152,14 @@ class LayoutEvaluator {
   }
   int64_t full_evaluations() const { return full_evals_; }
 
-  int num_subplans() const { return static_cast<int>(flat_.size()); }
+  /// Sub-plans across all statements (the flat count, repeats included).
+  int num_subplans() const { return num_subplans_; }
+
+  /// Distinct access lists (shapes): the SubplanCost calls one Bind makes.
+  int num_shapes() const { return static_cast<int>(shapes_.size()); }
+
+  /// Distinct per-statement shape sequences (terms).
+  int num_terms() const { return static_cast<int>(term_begin_.size()) - 1; }
 
   /// Observe-only decision journal (not owned; may be null). When set, every
   /// Bind() — a full §5 recomputation — appends one "bind" event carrying
@@ -140,21 +168,17 @@ class LayoutEvaluator {
   void set_journal(obs::EventJournal* journal) { journal_ = journal; }
 
  private:
-  /// One flattened (statement, sub-plan) entry, in WorkloadCost's iteration
-  /// order.
-  struct FlatSubplan {
-    const SubplanAccess* subplan = nullptr;
-  };
-  /// One statement's weight and its contiguous span in flat_ order.
-  struct StatementSpan {
+  /// One statement: its weight and its interned term.
+  struct WeightedTerm {
     double weight = 1.0;
-    int count = 0;
+    int32_t term = 0;
   };
 
-  /// Applies rows via `apply`, re-costs affected sub-plans into `scratch`,
-  /// and returns the candidate total summed in WorkloadCost order. When
-  /// `restore` is true, the scratch layout is put back before returning;
-  /// the staging path passes false so it can capture the applied rows first.
+  /// Applies rows via `apply`, re-costs the affected shapes and re-sums the
+  /// affected terms into `scratch`, and returns the candidate total folded
+  /// in WorkloadCost order. When `restore` is true, the scratch layout is
+  /// put back before returning; the staging path passes false so it can
+  /// capture the applied rows first.
   template <typename ApplyFn>
   double ScoreCore(const std::vector<int>& objects, const ApplyFn& apply,
                    Scratch* scratch, bool restore) const;
@@ -162,15 +186,19 @@ class LayoutEvaluator {
   /// Puts `scratch`'s rows for `objects` back from its saved_rows backup.
   void RestoreScratchRows(const std::vector<int>& objects, Scratch* scratch) const;
 
-  /// Shared staging path: score without restore, capture rows/costs/total
-  /// into the staged_* fields, re-sync the staging scratch.
+  /// Shared staging path: score without restore, capture the rows and total
+  /// into the staged_* fields, re-sync the staging scratch. The re-costed
+  /// shapes and terms stay in staging_'s overrides until Commit reads them.
   template <typename ApplyFn>
   double DeltaCore(const std::vector<int>& objects, const ApplyFn& apply);
 
-  /// Total over the cached per-sub-plan costs, in WorkloadCost's exact
-  /// association order; `scratch` (optional) substitutes current-epoch
-  /// overrides.
-  double SumTotal(const Scratch* scratch) const;
+  /// Cost of `term`: its shapes' costs summed left to right from 0, exactly
+  /// as CostModel::StatementCost sums.
+  double TermCost(int32_t term, const std::vector<double>& shape_costs) const;
+
+  /// Total over `term_costs`, folded over the statements in WorkloadCost's
+  /// exact association order.
+  double SumTotal(const std::vector<double>& term_costs) const;
 
   /// Debug-build parity audit of total_ against a from-scratch §5
   /// recomputation.
@@ -179,22 +207,26 @@ class LayoutEvaluator {
   const WorkloadProfile& profile_;
   const CostModel& cost_model_;
 
-  std::vector<FlatSubplan> flat_;             ///< flattened sub-plans
-  std::vector<StatementSpan> statements_;     ///< per-statement spans
-  std::vector<std::vector<int32_t>> object_subplans_;  ///< inverted index
+  // Intern tables, fixed at construction.
+  std::vector<const SubplanAccess*> shapes_;  ///< representative per shape
+  std::vector<int32_t> term_begin_;   ///< term t spans [begin[t], begin[t+1])
+  std::vector<int32_t> term_shapes_;  ///< shape ids of every term, in order
+  std::vector<WeightedTerm> statements_;            ///< in profile order
+  std::vector<std::vector<int32_t>> object_shapes_;  ///< object -> shapes
+  std::vector<std::vector<int32_t>> shape_terms_;    ///< shape -> terms
+  int num_subplans_ = 0;
 
-  Layout layout_;                    ///< currently bound layout
-  std::vector<double> subplan_cost_; ///< cached cost per flat sub-plan
+  Layout layout_;                   ///< currently bound layout
+  std::vector<double> shape_cost_;  ///< cached SubplanCost per shape
+  std::vector<double> term_cost_;   ///< cached StatementCost per term
   double total_ = 0;
-  bool bound_ = false;               ///< Bind() has been called
+  bool bound_ = false;              ///< Bind() has been called
 
   // Staged move (Delta* -> Commit/Revert).
   mutable Scratch staging_;
   bool staged_valid_ = false;
   std::vector<int> staged_objects_;
-  std::vector<double> staged_rows_;     ///< |objects| x m, row-major
-  std::vector<int32_t> staged_affected_;
-  std::vector<double> staged_costs_;    ///< parallel to staged_affected_
+  std::vector<double> staged_rows_;  ///< |objects| x m, row-major
   double staged_total_ = 0;
 
   mutable std::atomic<int64_t> delta_evals_{0};

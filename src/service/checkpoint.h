@@ -31,9 +31,9 @@ inline constexpr int kCheckpointSchemaVersion = 1;
 
 /// One buffered or profile statement, as ingested. Profile statements are
 /// the *compressed* accumulated profile's (sql, weight, stream) triplets;
-/// re-analyzing them on restore rebuilds a profile that is exactly
-/// cost-equivalent (CompressProfile keeps a representative statement per
-/// access signature, and cost is a pure function of the signature).
+/// re-analyzing them on restore rebuilds the same compressed profile
+/// (CompressProfile keeps a representative statement per access signature,
+/// and the representative's SQL re-analyzes to the same accesses).
 struct StatementSnapshot {
   std::string sql;
   double weight = 1.0;

@@ -76,21 +76,32 @@ std::vector<bool> ReferencedObjects(const WorkloadProfile& profile);
 WorkloadProfile MergeConcurrentStreams(const WorkloadProfile& profile);
 
 /// Workload compression: statements whose sub-plan access signatures are
-/// identical (same pipelines over the same objects with the same block
-/// counts and access kinds — e.g. the hundreds of near-identical drill-down
-/// queries of APB-800) are collapsed into one statement with the summed
-/// weight. The cost model and access graph are *exactly* invariant under
-/// this transformation, while the search evaluates far fewer statements.
-/// Synthesized statements carry a null plan. Statements with positive
-/// stream tags are left uncompressed (they matter individually for
-/// concurrency merging).
+/// equal (same pipelines over the same objects with the same access kinds
+/// and block counts equal to 3 decimals — e.g. the hundreds of
+/// near-identical drill-down queries of APB-800) are collapsed into one
+/// statement, the first of them, carrying the summed weight. This is an
+/// approximation, not an exact invariance:
+///   - statements whose block counts differ by less than 5e-4 (and so round
+///     to the same signature) merge, and the representative's block counts
+///     stand in for all of them;
+///   - w1 * c + w2 * c is replaced by (w1 + w2) * c, which can differ in
+///     the last bits even for exact duplicates.
+/// So the cost model and access graph agree with the uncompressed workload
+/// only to within that rounding (under 5e-4 blocks per access, plus
+/// last-bit error), and a search over the compressed profile may take a
+/// different path when two candidates' costs are that close.
+/// LayoutEvaluator exploits exact repetition without this loss. Synthesized
+/// statements carry a null plan. Statements with positive stream tags are
+/// left uncompressed (they matter individually for concurrency merging).
 WorkloadProfile CompressProfile(const WorkloadProfile& profile);
 
 /// Stable text encoding of a statement's sub-plan access structure: the
-/// object ids, block counts (rounded so float noise does not defeat
-/// matching), and access kinds of every pipeline. Two statements with equal
-/// signatures are indistinguishable to the cost model and the access graph;
-/// CompressProfile collapses them.
+/// object ids, block counts (printed to 3 decimals, so counts less than
+/// 5e-4 apart can share a signature), and access kinds of every pipeline.
+/// Statements with equal signatures are what CompressProfile collapses;
+/// they are indistinguishable to the cost model and access graph only up
+/// to that rounding. The encoding is part of the checkpoint contract and
+/// must not change.
 std::string AccessSignature(const StatementProfile& statement);
 
 /// Cache-ability summary of an analyzed workload: how far CompressProfile

@@ -1,5 +1,6 @@
-// Tests for workload compression (CompressProfile): exact cost-model and
-// access-graph invariance, weight accumulation, and its interaction with
+// Tests for workload compression (CompressProfile): cost-model and
+// access-graph invariance to within its signature rounding, the merge that
+// rounding causes, weight accumulation, and its interaction with
 // concurrency streams.
 
 #include <gtest/gtest.h>
@@ -65,6 +66,44 @@ TEST(CompressionTest, CostModelExactlyInvariant) {
   other.AssignEqual(db.ObjectIdOfTable("sales_history").value(), {0, 1, 2});
   EXPECT_NEAR(cm.WorkloadCost(profile.value(), other), cm.WorkloadCost(small, other),
               1e-6 * cm.WorkloadCost(small, other));
+}
+
+TEST(CompressionTest, BlockCountsUnderSignatureRoundingMerge) {
+  // AccessSignature prints block counts to 3 decimals, so two statements
+  // whose counts differ by less than 5e-4 merge: the first one's accesses
+  // stand in for both, and the compressed cost moves off the exact cost.
+  auto statement = [](double blocks) {
+    ObjectAccess fact;
+    fact.object_id = 0;
+    fact.blocks = blocks;
+    ObjectAccess dim;
+    dim.object_id = 1;
+    dim.blocks = 250;
+    StatementProfile s;
+    s.subplans.push_back(SubplanAccess{{fact, dim}});
+    return s;
+  };
+  WorkloadProfile profile;
+  profile.num_objects = 2;
+  profile.statements.push_back(statement(1000.0));
+  profile.statements.push_back(statement(1000.0002));
+  EXPECT_EQ(AccessSignature(profile.statements[0]),
+            AccessSignature(profile.statements[1]));
+
+  const WorkloadProfile small = CompressProfile(profile);
+  ASSERT_EQ(small.statements.size(), 1u);
+  EXPECT_EQ(small.statements[0].weight, 2);
+  EXPECT_EQ(small.statements[0].subplans[0].accesses[0].blocks, 1000.0);
+
+  const DiskFleet fleet = DiskFleet::Uniform(2);
+  Layout layout(2, fleet.num_disks());
+  layout.AssignProportional(0, {0, 1}, fleet);
+  layout.AssignProportional(1, {1}, fleet);
+  const CostModel cm(fleet);
+  const double exact = cm.WorkloadCost(profile, layout);
+  const double compressed = cm.WorkloadCost(small, layout);
+  EXPECT_NE(compressed, exact);
+  EXPECT_NEAR(compressed, exact, 1e-6 * exact);
 }
 
 TEST(CompressionTest, AccessGraphExactlyInvariant) {

@@ -1,7 +1,8 @@
 // LayoutEvaluator + ThreadPool + parallel-search tests: delta-costing
-// parity against the CostModel oracle, staged Commit/Revert semantics, the
-// empty-placement edge case, evaluation accounting, pool correctness, and
-// thread-count determinism of the whole search.
+// parity against the CostModel oracle, the exactness of the shape and term
+// intern keys, staged Commit/Revert semantics, the empty-placement edge
+// case, evaluation accounting, pool correctness, and thread-count
+// determinism of the whole search.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,155 @@ TEST(EvaluatorTest, AccountingCountsEveryEvaluationOnce) {
   // layouts_evaluated stays uniform across full and delta paths.
   EXPECT_EQ(cm.WorkloadEvaluations() - before,
             evaluator.full_evaluations() + evaluator.delta_evaluations());
+}
+
+/// One access of a hand-built sub-plan.
+ObjectAccess Access(int object, double blocks, bool is_write = false,
+                    bool read_modify_write = false) {
+  ObjectAccess a;
+  a.object_id = object;
+  a.blocks = blocks;
+  a.is_write = is_write;
+  a.read_modify_write = read_modify_write;
+  return a;
+}
+
+StatementProfile Statement(double weight, std::vector<SubplanAccess> subplans) {
+  StatementProfile s;
+  s.weight = weight;
+  s.subplans = std::move(subplans);
+  return s;
+}
+
+/// Hand-built profile over 4 objects for the evaluator's intern keys: exact
+/// repeats that must share a shape or term, and near-duplicates that must
+/// not.
+WorkloadProfile InternProfile() {
+  const SubplanAccess join = {{Access(0, 1000.3), Access(1, 417.9)}};
+  const SubplanAccess join_ulp = {
+      {Access(0, std::nextafter(1000.3, 2000.0)), Access(1, 417.9)}};
+  const SubplanAccess join_write = {{Access(0, 1000.3, true), Access(1, 417.9)}};
+  const SubplanAccess join_rmw = {
+      {Access(0, 1000.3, false, true), Access(1, 417.9)}};
+  const SubplanAccess join_swapped = {{Access(1, 417.9), Access(0, 1000.3)}};
+  const SubplanAccess self_join = {{Access(2, 301.7), Access(2, 301.7)}};
+  const SubplanAccess scan = {{Access(3, 803.1)}};
+  WorkloadProfile p;
+  p.num_objects = 4;
+  p.statements.push_back(Statement(2, {join, scan, self_join}));
+  p.statements.push_back(Statement(1, {join, scan, self_join}));  // duplicate
+  p.statements.push_back(Statement(3, {self_join, scan, join}));  // permuted
+  p.statements.push_back(Statement(1, {join, join}));  // repeated sub-plan
+  p.statements.push_back(Statement(1.5, {join_ulp}));
+  p.statements.push_back(Statement(1, {join_write}));
+  p.statements.push_back(Statement(0.5, {join_rmw}));
+  p.statements.push_back(Statement(1, {join_swapped, scan}));
+  p.statements.push_back(Statement(2, {join_ulp, join, join_ulp}));
+  p.statements.push_back(Statement(1, {}));  // no sub-plans
+  return p;
+}
+
+/// Every object of a 4 x m layout assigned proportionally over a random
+/// drive subset.
+Layout RandomRows(const DiskFleet& fleet, Rng* rng) {
+  Layout layout(4, fleet.num_disks());
+  for (int i = 0; i < 4; ++i) {
+    layout.AssignProportional(i, RandomDiskSet(fleet.num_disks(), rng), fleet);
+  }
+  return layout;
+}
+
+TEST(EvaluatorTest, InternTablesMergeOnlyExactRepeats) {
+  const WorkloadProfile profile = InternProfile();
+  DiskFleet fleet = DiskFleet::Uniform(3);
+  const CostModel cm(fleet);
+  LayoutEvaluator evaluator(profile, cm);
+  EXPECT_EQ(evaluator.num_subplans(), 19);
+  // join, join_ulp, join_write, join_rmw, join_swapped, self_join, scan.
+  EXPECT_EQ(evaluator.num_shapes(), 7);
+  // The duplicate statement shares a term; its permutation does not, nor
+  // does any other sequence (the empty one included).
+  EXPECT_EQ(evaluator.num_terms(), 9);
+}
+
+/// Random move sequences over `profile`: every Score*, Delta* and Commit
+/// total must equal CostModel::WorkloadCost of the materialized candidate
+/// bit for bit.
+void ExpectRandomMovesMatchOracle(const WorkloadProfile& profile,
+                                  uint64_t seed) {
+  DiskFleet fleet = DiskFleet::Heterogeneous(5, 0.4, 31);
+  const CostModel cm(fleet);
+  const int m = fleet.num_disks();
+
+  Rng rng(seed);
+  for (int instance = 0; instance < 4; ++instance) {
+    LayoutEvaluator evaluator(profile, cm);
+    const Layout start = RandomRows(fleet, &rng);
+    ASSERT_EQ(evaluator.Bind(start), cm.WorkloadCost(profile, start));
+    LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+    for (int move = 0; move < 60; ++move) {
+      SCOPED_TRACE(testing::Message()
+                   << "instance " << instance << " move " << move);
+      // One or two objects, as a greedy step moves a co-location group.
+      std::vector<int> objects = {static_cast<int>(rng.UniformInt(0, 3))};
+      if (rng.Bernoulli(0.3)) {
+        const int other = static_cast<int>(rng.UniformInt(0, 3));
+        if (other != objects[0]) objects.push_back(other);
+      }
+      const std::vector<int> disks = RandomDiskSet(m, &rng);
+      Layout proportional = evaluator.layout();
+      for (int i : objects) proportional.AssignProportional(i, disks, fleet);
+      const Layout rows = RandomRows(fleet, &rng);
+      Layout from_rows = evaluator.layout();
+      for (int i : objects) {
+        for (int j = 0; j < m; ++j) from_rows.set_x(i, j, rows.x(i, j));
+      }
+      const double want_proportional = cm.WorkloadCost(profile, proportional);
+      const double want_rows = cm.WorkloadCost(profile, from_rows);
+
+      ASSERT_EQ(evaluator.ScoreProportionalMove(objects, disks, &scratch),
+                want_proportional);
+      ASSERT_EQ(evaluator.ScoreRowsFromMove(objects, rows, &scratch), want_rows);
+      ASSERT_EQ(evaluator.DeltaForRowsFromMove(objects, rows), want_rows);
+      std::vector<double> row(static_cast<size_t>(m));
+      Layout one_row = evaluator.layout();
+      for (int j = 0; j < m; ++j) {
+        row[static_cast<size_t>(j)] = rows.x(objects[0], j);
+        one_row.set_x(objects[0], j, rows.x(objects[0], j));
+      }
+      ASSERT_EQ(evaluator.DeltaForMove(objects[0], row),
+                cm.WorkloadCost(profile, one_row));
+      ASSERT_EQ(evaluator.DeltaForProportionalMove(objects, disks),
+                want_proportional);
+      if (rng.Bernoulli(0.2)) {
+        evaluator.Revert();
+        continue;
+      }
+      evaluator.Commit();
+      ASSERT_EQ(evaluator.TotalCost(), want_proportional);
+      ASSERT_EQ(evaluator.TotalCost(), cm.WorkloadCost(profile, evaluator.layout()));
+      scratch = evaluator.MakeScratch();
+    }
+  }
+}
+
+TEST(EvaluatorTest, InternedScoringIsBitIdenticalToTheOracle) {
+  // The whole intern profile exercises shared shapes and terms in the
+  // statement fold. A near-duplicate wrongly merged with its twin (or a
+  // permuted sequence merged into one term) would cost with the twin's
+  // operands and drift in the last bits — but in the whole profile such
+  // drift can round away in the total, so each statement is also checked
+  // alone, where a term's bits are the total's.
+  const WorkloadProfile profile = InternProfile();
+  ExpectRandomMovesMatchOracle(profile, 2024);
+  for (size_t i = 0; i < profile.statements.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "statement " << i << " alone");
+    WorkloadProfile alone;
+    alone.num_objects = profile.num_objects;
+    alone.statements.push_back(
+        Statement(profile.statements[i].weight, profile.statements[i].subplans));
+    ExpectRandomMovesMatchOracle(alone, 100 + i);
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
