@@ -1,14 +1,19 @@
 // Microbenchmarks (google-benchmark) of the hot paths the paper's
 // scalability depends on: the analytic cost model (invoked thousands of
 // times by the search), access-graph construction, max-cut partitioning,
-// workload analysis and the full TS-GREEDY search.
+// workload analysis (TPC-H 22 and the planner-bound SALES-45), join-order
+// planning of chain joins up to the DP limit, and the full TS-GREEDY search.
 
 #include <benchmark/benchmark.h>
 
+#include "benchdata/sales.h"
 #include "benchdata/tpch.h"
 #include "graph/partition.h"
 #include "io/queue_sim.h"
 #include "layout/search.h"
+#include "optimizer/optimizer.h"
+#include "sql/parser.h"
+#include "tests/wide_join_schema.h"
 #include "workload/analyzer.h"
 
 namespace dblayout {
@@ -48,6 +53,31 @@ void BM_AnalyzeWorkload(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyzeWorkload);
+
+// SALES-45: 45 eight-table joins, so analysis time is nearly all join-order
+// planning.
+void BM_AnalyzeSales45(benchmark::State& state) {
+  static const Database db = benchdata::MakeSalesDatabase();
+  auto wl = benchdata::MakeSales45Workload(db).value();
+  for (auto _ : state) {
+    auto profile = AnalyzeWorkload(db, wl);
+    benchmark::DoNotOptimize(profile.ok());
+  }
+}
+BENCHMARK(BM_AnalyzeSales45)->Unit(benchmark::kMillisecond);
+
+// One n-table chain join planned by the left-deep DP (n <= 12, its limit).
+void BM_PlanChainJoin(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const Database db = testing_schema::MakeChainDatabase(n);
+  auto stmt = ParseSql(testing_schema::ChainJoinSql(n)).value();
+  const Optimizer optimizer(db);
+  for (auto _ : state) {
+    auto plan = optimizer.Plan(stmt);
+    benchmark::DoNotOptimize(plan.ok());
+  }
+}
+BENCHMARK(BM_PlanChainJoin)->Arg(8)->Arg(10)->Arg(12)->Unit(benchmark::kMicrosecond);
 
 void BM_BuildAccessGraph(benchmark::State& state) {
   for (auto _ : state) {

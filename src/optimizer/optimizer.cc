@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 
 #include "common/logging.h"
 #include "common/strutil.h"
@@ -26,11 +25,56 @@ std::string QualName(const std::string& bind, const std::string& col) {
   return bind + "." + col;
 }
 
-/// State of one input during join enumeration.
-struct JoinInput {
-  std::unique_ptr<PlanNode> plan;
+/// One node of a plan subtree that performs I/O (object id >= 0 and a
+/// positive block count), as the merge-join co-scan surcharge reads it.
+struct LeafIo {
+  int object_id;
+  double blocks;
+};
+
+/// What join enumeration needs to know about a (sub)plan without holding
+/// the tree: exactly the quantities ImplCost and join selection read from it.
+struct PlanSummary {
   double rows = 0;
-  std::set<size_t> tables;  ///< bound-table indices covered
+  double cost = 0;             ///< ImplCost of the subtree, bit for bit
+  int lead_key = -1;           ///< interned sort_order[0]; -1 if unordered
+  std::vector<LeafIo> leaves;  ///< I/O nodes in pre-order
+  std::vector<bool> tables;    ///< bound tables covered
+};
+
+enum class JoinAlg { kMerge, kIndexNestedLoops, kHash };
+
+/// One endpoint of an equi-join predicate: its qualified column and the
+/// access structures an index nested-loops inner on that column could seek.
+struct JoinKey {
+  int key = -1;                  ///< interned "<bind_name>.<column>"
+  bool clustered = false;        ///< column leads the table's clustered key
+  const Index* index = nullptr;  ///< non-clustered index led by the column
+  int index_object_id = -1;
+};
+
+/// Cardinality and merge keys of joining a left input with one bound table.
+/// The keys come from the first connecting equi-join predicate; without one
+/// `inner` is null and only a hash join applies.
+struct JoinEstimate {
+  double rows = 0;
+  int left_key = -1;               ///< left endpoint's interned key
+  const JoinKey* inner = nullptr;  ///< right endpoint (the right table's column)
+};
+
+/// Block counts of an index nested-loops inner: a clustered seek reads
+/// `lookup_blocks`; a RID lookup reads `lookup_blocks` after an index seek
+/// of `seek_blocks`.
+struct NljInner {
+  double lookup_blocks = 0;
+  double seek_blocks = 0;
+};
+
+/// The physical join chosen for (left input, right table) and its ImplCost.
+struct JoinChoice {
+  JoinAlg alg = JoinAlg::kHash;
+  JoinEstimate est;
+  double cost = 0;
 };
 
 /// Flattens [NOT] EXISTS and IN-subquery predicates into the outer query:
@@ -85,23 +129,41 @@ class SelectPlanner {
 
   Result<std::unique_ptr<PlanNode>> BuildAccessPath(size_t t);
   Result<std::unique_ptr<PlanNode>> BuildJoinTree();
-  Result<std::unique_ptr<PlanNode>> BuildJoinTreeDp(
-      std::vector<JoinInput> inputs);
-  Result<std::unique_ptr<PlanNode>> BuildJoinTreeGreedy(
-      std::vector<JoinInput> inputs);
+  std::unique_ptr<PlanNode> BuildJoinTreeDp(
+      std::vector<std::unique_ptr<PlanNode>> access);
+  std::unique_ptr<PlanNode> BuildJoinTreeGreedy(
+      std::vector<std::unique_ptr<PlanNode>> access);
 
   /// Physical cost of a plan subtree in sequential-block-equivalents:
   /// leaf I/O (random blocks weighted by the random-I/O penalty) plus
-  /// per-operator CPU/blocking surcharges. Used to pick join orders and
-  /// implementations, like a System-R cost function.
+  /// per-operator CPU/blocking surcharges, like a System-R cost function.
+  /// Costs base access paths; join enumeration folds the same terms on
+  /// PlanSummary values instead (ChooseJoin), and DCHECK builds audit every
+  /// materialized join against it.
   double ImplCost(const PlanNode& node) const;
   std::unique_ptr<PlanNode> AddAggregation(std::unique_ptr<PlanNode> input);
   std::unique_ptr<PlanNode> AddOrderByAndTop(std::unique_ptr<PlanNode> input);
 
-  /// Joins `left` (multi-table) with single-table input `right`, choosing
-  /// the physical operator. `join_preds` connect the two sides.
-  Result<std::unique_ptr<PlanNode>> MakeJoin(JoinInput* left, JoinInput* right,
-                                             const std::vector<const Predicate*>& join_preds);
+  int InternKey(const std::string& key);
+  JoinKey MakeJoinKey(size_t t, const std::string& column);
+  PlanSummary Summarize(const PlanNode& access, size_t t);
+
+  /// Estimates joining `left` with bound table `t` over every predicate
+  /// connecting them; appends the predicate text to `detail` when non-null.
+  JoinEstimate EstimateJoin(const PlanSummary& left, size_t t, std::string* detail);
+  NljInner NljInnerBlocks(const JoinEstimate& est, double left_rows, size_t t) const;
+  /// Costs merge, index nested-loops and hash join of `left` with table `t`
+  /// on summaries, in that order, keeping the first strictly cheapest.
+  JoinChoice ChooseJoin(const PlanSummary& left, size_t t);
+  /// Summary of the plan `choice` builds from `left` and table `t`.
+  PlanSummary JoinSummary(const PlanSummary& left, size_t t,
+                          const JoinChoice& choice) const;
+  /// Materializes `choice` over the `left` plan (summarized by
+  /// `left_summary`) and table `t`'s access path `right`.
+  std::unique_ptr<PlanNode> BuildJoin(std::unique_ptr<PlanNode> left,
+                                      const PlanSummary& left_summary, size_t t,
+                                      std::unique_ptr<PlanNode> right,
+                                      const JoinChoice& choice);
 
   const Database& db_;
   const OptimizerOptions& options_;
@@ -114,10 +176,18 @@ class SelectPlanner {
   struct JoinPred {
     const Predicate* pred;
     size_t lhs_table, rhs_table;
-    const Column* lhs_col;
-    const Column* rhs_col;
+    double sel;            ///< JoinSelectivity for equi-joins, else the range default
+    JoinKey lhs_key, rhs_key;  ///< set for equi-joins only
   };
   std::vector<JoinPred> join_preds_;
+
+  // Sort keys interned by their qualified-name string, so two unaliased
+  // instances of one table (same bind name) share keys, as string equality
+  // on sort_order does.
+  std::map<std::string, int> key_ids_;
+  std::vector<std::string> keys_;
+  std::vector<PlanSummary> base_;    ///< per bound table: its access path
+  std::vector<double> pred_sels_;    ///< EstimateJoin scratch
 };
 
 Status SelectPlanner::Bind() {
@@ -145,8 +215,15 @@ Status SelectPlanner::Bind() {
         local_preds_[lhs.value().first].push_back(&p);
         local_sel_[lhs.value().first] *= kDefaultRangeSelectivity;
       } else {
-        join_preds_.push_back(JoinPred{&p, lhs.value().first, rhs.value().first,
-                                       lhs.value().second, rhs.value().second});
+        JoinPred jp{&p, lhs.value().first, rhs.value().first,
+                     kDefaultRangeSelectivity, JoinKey{}, JoinKey{}};
+        if (p.op == CompareOp::kEq) {
+          jp.sel = JoinSelectivity(lhs.value().second->distinct_count,
+                                   rhs.value().second->distinct_count);
+          jp.lhs_key = MakeJoinKey(jp.lhs_table, p.lhs.column);
+          jp.rhs_key = MakeJoinKey(jp.rhs_table, p.rhs_column.column);
+        }
+        join_preds_.push_back(jp);
       }
     } else {
       auto lhs = Resolve(p.lhs);
@@ -299,171 +376,307 @@ Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildAccessPath(size_t t) {
   return Status::Internal("unreachable access path");
 }
 
-Result<std::unique_ptr<PlanNode>> SelectPlanner::MakeJoin(
-    JoinInput* left, JoinInput* right,
-    const std::vector<const Predicate*>& join_preds) {
+int SelectPlanner::InternKey(const std::string& key) {
+  auto [it, inserted] = key_ids_.emplace(key, static_cast<int>(keys_.size()));
+  if (inserted) keys_.push_back(key);
+  return it->second;
+}
+
+JoinKey SelectPlanner::MakeJoinKey(size_t t, const std::string& column) {
+  const std::string key = QualName(bound_[t].bind_name, column);
+  const Table& table = *bound_[t].table;
+  const std::string col_name = key.substr(key.find('.') + 1);
+  JoinKey jk;
+  jk.key = InternKey(key);
+  jk.clustered = !table.clustered_key.empty() && table.clustered_key[0] == col_name;
+  jk.index = db_.IndexOnColumn(table.name, col_name);
+  if (jk.index != nullptr) {
+    auto ix_id = db_.ObjectIdOfIndex(table.name, jk.index->name);
+    DBLAYOUT_CHECK(ix_id.ok());
+    jk.index_object_id = ix_id.value();
+  }
+  return jk;
+}
+
+namespace {
+/// Appends the I/O nodes of a subtree in pre-order.
+void CollectLeaves(const PlanNode& node, std::vector<LeafIo>* leaves) {
+  if (node.object_id >= 0 && node.blocks_accessed > 0) {
+    leaves->push_back(LeafIo{node.object_id, node.blocks_accessed});
+  }
+  for (const auto& child : node.children) CollectLeaves(*child, leaves);
+}
+
+/// ImplCost's merge-join term on leaf lists: for each object both sides
+/// access, in ascending object id, add its left then right block totals
+/// (each summed in pre-order, as LeafObjects accumulates them).
+double CoScanSurcharge(const std::vector<LeafIo>& left,
+                       const std::vector<LeafIo>& right) {
+  double c = 0;
+  for (int prev = -1;;) {
+    int obj = std::numeric_limits<int>::max();
+    for (const LeafIo& r : right) {
+      if (r.object_id > prev && r.object_id < obj) obj = r.object_id;
+    }
+    if (obj == std::numeric_limits<int>::max()) break;
+    prev = obj;
+    double left_blocks = 0;
+    bool shared = false;
+    for (const LeafIo& l : left) {
+      if (l.object_id != obj) continue;
+      left_blocks += l.blocks;
+      shared = true;
+    }
+    if (!shared) continue;
+    double right_blocks = 0;
+    for (const LeafIo& r : right) {
+      if (r.object_id == obj) right_blocks += r.blocks;
+    }
+    c += left_blocks + right_blocks;
+  }
+  return c;
+}
+}  // namespace
+
+PlanSummary SelectPlanner::Summarize(const PlanNode& access, size_t t) {
+  PlanSummary s;
+  s.rows = access.out_rows;
+  s.cost = ImplCost(access);
+  if (!access.sort_order.empty()) s.lead_key = InternKey(access.sort_order[0]);
+  CollectLeaves(access, &s.leaves);
+  s.tables.assign(bound_.size(), false);
+  s.tables[t] = true;
+  return s;
+}
+
+JoinEstimate SelectPlanner::EstimateJoin(const PlanSummary& left, size_t t,
+                                         std::string* detail) {
   // Estimate output cardinality. Multiple join predicates between the same
   // pair of inputs are usually correlated (e.g. composite foreign keys), so
   // independence would wildly underestimate; apply exponential backoff
   // (s1 * s2^1/2 * s3^1/4 ...) over the predicate selectivities, most
   // selective first.
-  std::vector<double> pred_sels;
-  std::string detail;
-  std::string left_key, right_key;   // qualified join columns (first equi pred)
-  size_t right_table_idx = *right->tables.begin();
+  JoinEstimate est;
+  pred_sels_.clear();
   for (const JoinPred& jp : join_preds_) {
-    bool connects_lr = left->tables.count(jp.lhs_table) > 0 &&
-                       right->tables.count(jp.rhs_table) > 0;
-    bool connects_rl = left->tables.count(jp.rhs_table) > 0 &&
-                       right->tables.count(jp.lhs_table) > 0;
+    const bool connects_lr = left.tables[jp.lhs_table] && jp.rhs_table == t;
+    const bool connects_rl = left.tables[jp.rhs_table] && jp.lhs_table == t;
     if (!connects_lr && !connects_rl) continue;
-    bool in_request = std::find(join_preds.begin(), join_preds.end(), jp.pred) !=
-                      join_preds.end();
-    if (!in_request) continue;
-    if (jp.pred->op == CompareOp::kEq) {
-      pred_sels.push_back(
-          JoinSelectivity(jp.lhs_col->distinct_count, jp.rhs_col->distinct_count));
-      if (left_key.empty()) {
-        const auto& lref = connects_lr ? jp.pred->lhs : jp.pred->rhs_column;
-        const auto& rref = connects_lr ? jp.pred->rhs_column : jp.pred->lhs;
-        size_t lt = connects_lr ? jp.lhs_table : jp.rhs_table;
-        size_t rt = connects_lr ? jp.rhs_table : jp.lhs_table;
-        left_key = QualName(bound_[lt].bind_name, lref.column);
-        right_key = QualName(bound_[rt].bind_name, rref.column);
-        right_table_idx = rt;
-      }
-    } else {
-      pred_sels.push_back(kDefaultRangeSelectivity);
+    pred_sels_.push_back(jp.sel);
+    if (jp.pred->op == CompareOp::kEq && est.inner == nullptr) {
+      est.left_key = connects_lr ? jp.lhs_key.key : jp.rhs_key.key;
+      est.inner = connects_lr ? &jp.rhs_key : &jp.lhs_key;
     }
-    if (!detail.empty()) detail += " AND ";
-    detail += jp.pred->lhs.ToString() + CompareOpName(jp.pred->op) +
-              jp.pred->rhs_column.ToString();
+    if (detail == nullptr) continue;
+    if (!detail->empty()) *detail += " AND ";
+    *detail += jp.pred->lhs.ToString() + CompareOpName(jp.pred->op) +
+               jp.pred->rhs_column.ToString();
   }
-  std::sort(pred_sels.begin(), pred_sels.end());
+  std::sort(pred_sels_.begin(), pred_sels_.end());
   double sel = 1.0;
   double exponent = 1.0;
-  for (double s : pred_sels) {
+  for (double s : pred_sels_) {
     sel *= std::pow(s, exponent);
     exponent /= 2;
   }
-  double out_rows = std::max(1.0, left->rows * right->rows * sel);
+  est.rows = std::max(1.0, left.rows * base_[t].rows * sel);
   // Semi-join semantics: a table flattened out of an EXISTS / IN subquery
   // can only filter the outer side, never multiply it.
-  if (sel_.from[right_table_idx].semi_join) {
-    out_rows = std::min(out_rows, std::max(1.0, left->rows));
+  if (sel_.from[t].semi_join) {
+    est.rows = std::min(est.rows, std::max(1.0, left.rows));
   }
+  return est;
+}
 
-  // Build every feasible physical alternative, then keep the cheapest under
-  // ImplCost (cost-based implementation selection, like System R).
-  std::vector<std::unique_ptr<PlanNode>> candidates;
+NljInner SelectPlanner::NljInnerBlocks(const JoinEstimate& est, double left_rows,
+                                       size_t t) const {
+  const Table& table = *bound_[t].table;
+  const double data_blocks = static_cast<double>(table.DataBlocks());
+  const double table_rows = static_cast<double>(table.row_count);
+  NljInner inner;
+  if (est.inner->clustered) {
+    inner.lookup_blocks =
+        YaoBlocks(std::max(est.rows, left_rows), data_blocks, table_rows);
+  } else {
+    inner.seek_blocks = YaoBlocks(
+        left_rows, static_cast<double>(db_.IndexBlocks(*est.inner->index)), table_rows);
+    inner.lookup_blocks = YaoBlocks(est.rows, data_blocks, table_rows);
+  }
+  return inner;
+}
+
+JoinChoice SelectPlanner::ChooseJoin(const PlanSummary& left, size_t t) {
+  // Each alternative's cost is folded in ImplCost's order over the tree
+  // BuildJoin would materialize: the join node's own term, then each child
+  // left to right, so the comparison (and the plan) is bit-identical to
+  // costing the built candidates.
+  const PlanSummary& right = base_[t];
+  JoinChoice best;
+  best.est = EstimateJoin(left, t, nullptr);
+  const JoinEstimate& est = best.est;
+  bool have = false;
+  auto consider = [&](JoinAlg alg, double cost) {
+    if (!have || cost < best.cost) {
+      best.alg = alg;
+      best.cost = cost;
+      have = true;
+    }
+  };
+  auto sorted_cost = [&](const PlanSummary& input, int key) {
+    if (input.lead_key == key) return input.cost;
+    double c = options_.sort_cost_per_row * input.rows;
+    c += input.cost;
+    return c;
+  };
 
   // Merge join: directly when both inputs already arrive ordered on the
   // join keys; otherwise as a sort-merge join with explicit (blocking) Sort
   // operators under the merge. The sort-based variant rarely beats hash
   // join under default cost knobs — exactly as in real optimizers — but it
   // is a genuine alternative the cost comparison may pick.
-  const bool left_sorted = !left_key.empty() && !left->plan->sort_order.empty() &&
-                           left->plan->sort_order[0] == left_key;
-  const bool right_sorted = !right_key.empty() && !right->plan->sort_order.empty() &&
-                            right->plan->sort_order[0] == right_key;
-  if (!left_key.empty()) {
-    auto sorted_input = [&](const PlanNode& input, bool already_sorted,
-                            const std::string& key) -> std::unique_ptr<PlanNode> {
-      auto clone = ClonePlan(input);
-      if (already_sorted) return clone;
-      auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
-      sort->out_rows = clone->out_rows;
-      sort->detail = "sort on " + key;
-      sort->sort_order = {key};
-      sort->AddChild(std::move(clone));
-      return sort;
-    };
-    auto node = std::make_unique<PlanNode>(PlanOp::kMergeJoin);
-    node->out_rows = out_rows;
-    node->detail = detail;
-    node->AddChild(sorted_input(*left->plan, left_sorted, left_key));
-    node->AddChild(sorted_input(*right->plan, right_sorted, right_key));
-    node->sort_order = node->children[0]->sort_order;
-    candidates.push_back(std::move(node));
+  if (est.inner != nullptr) {
+    double c = CoScanSurcharge(left.leaves, right.leaves);
+    c += sorted_cost(left, est.left_key);
+    c += sorted_cost(right, est.inner->key);
+    consider(JoinAlg::kMerge, c);
   }
 
   // Index nested loops when the inner (right) is a single base table with a
   // usable index on the join column and the outer is small.
-  if (!right_key.empty() && right->tables.size() == 1 &&
-      left->rows <= options_.nlj_outer_rows_threshold) {
-    const BoundTable& bt = bound_[right_table_idx];
-    const Table& table = *bt.table;
-    const std::string col_name = right_key.substr(right_key.find('.') + 1);
-    const bool clustered_usable =
-        !table.clustered_key.empty() && table.clustered_key[0] == col_name;
-    const Index* nc = db_.IndexOnColumn(table.name, col_name);
-    if (clustered_usable || nc != nullptr) {
-      const double data_blocks = static_cast<double>(table.DataBlocks());
-      std::unique_ptr<PlanNode> inner;
-      if (clustered_usable) {
-        inner = std::make_unique<PlanNode>(PlanOp::kClusteredSeek);
-        inner->object_id = bt.object_id;
-        inner->object_name = table.name;
-        inner->blocks_accessed = YaoBlocks(
-            std::max(out_rows, left->rows), data_blocks,
-            static_cast<double>(table.row_count));
-        inner->random_access = true;
-        inner->detail = "seek " + right_key + " = outer";
-      } else {
-        auto seek = std::make_unique<PlanNode>(PlanOp::kIndexSeek);
-        auto ix_id = db_.ObjectIdOfIndex(table.name, nc->name);
-        DBLAYOUT_CHECK(ix_id.ok());
-        const double index_blocks = static_cast<double>(db_.IndexBlocks(*nc));
-        seek->object_id = ix_id.value();
-        seek->object_name = table.name + "." + nc->name;
-        seek->blocks_accessed =
-            YaoBlocks(left->rows, index_blocks, static_cast<double>(table.row_count));
-        seek->random_access = true;
-        seek->detail = "seek " + right_key + " = outer";
-        inner = std::make_unique<PlanNode>(PlanOp::kRidLookup);
-        inner->object_id = bt.object_id;
-        inner->object_name = table.name;
-        inner->blocks_accessed = YaoBlocks(out_rows, data_blocks,
-                                           static_cast<double>(table.row_count));
-        inner->random_access = true;
-        inner->AddChild(std::move(seek));
-      }
-      inner->out_rows = out_rows;
-      auto node = std::make_unique<PlanNode>(PlanOp::kNestedLoopsJoin);
-      node->out_rows = out_rows;
-      node->detail = detail;
-      node->sort_order = left->plan->sort_order;
-      node->AddChild(ClonePlan(*left->plan));
-      node->AddChild(std::move(inner));
-      candidates.push_back(std::move(node));
-    }
+  if (est.inner != nullptr && left.rows <= options_.nlj_outer_rows_threshold &&
+      (est.inner->clustered || est.inner->index != nullptr)) {
+    const NljInner inner = NljInnerBlocks(est, left.rows, t);
+    double inner_cost = inner.lookup_blocks * options_.random_io_penalty;
+    if (!est.inner->clustered) inner_cost += inner.seek_blocks * options_.random_io_penalty;
+    double c = options_.nlj_cost_per_outer_row * left.rows;
+    c += left.cost;
+    c += inner_cost;
+    consider(JoinAlg::kIndexNestedLoops, c);
   }
 
   // Hash join: build on the smaller input (first child = build).
   {
-    auto node = std::make_unique<PlanNode>(PlanOp::kHashJoin);
-    node->out_rows = out_rows;
-    node->detail = detail;
-    if (left->rows <= right->rows) {
-      node->AddChild(ClonePlan(*left->plan));
-      node->AddChild(ClonePlan(*right->plan));
-    } else {
-      node->AddChild(ClonePlan(*right->plan));
-      node->AddChild(ClonePlan(*left->plan));
-    }
-    candidates.push_back(std::move(node));
+    const bool left_builds = left.rows <= right.rows;
+    const PlanSummary& build = left_builds ? left : right;
+    const PlanSummary& probe = left_builds ? right : left;
+    double c = options_.hash_build_cost_per_row * build.rows +
+               options_.hash_probe_cost_per_row * probe.rows;
+    c += build.cost;
+    c += probe.cost;
+    consider(JoinAlg::kHash, c);
   }
+  return best;
+}
 
-  size_t best = 0;
-  double best_cost = ImplCost(*candidates[0]);
-  for (size_t c = 1; c < candidates.size(); ++c) {
-    const double cost = ImplCost(*candidates[c]);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = c;
+PlanSummary SelectPlanner::JoinSummary(const PlanSummary& left, size_t t,
+                                       const JoinChoice& choice) const {
+  const PlanSummary& right = base_[t];
+  PlanSummary s;
+  s.rows = choice.est.rows;
+  s.cost = choice.cost;
+  s.tables = left.tables;
+  s.tables[t] = true;
+  auto append = [&s](const PlanSummary& input) {
+    s.leaves.insert(s.leaves.end(), input.leaves.begin(), input.leaves.end());
+  };
+  switch (choice.alg) {
+    case JoinAlg::kMerge:
+      s.lead_key = choice.est.left_key;
+      append(left);
+      append(right);
+      break;
+    case JoinAlg::kIndexNestedLoops: {
+      s.lead_key = left.lead_key;
+      append(left);
+      const NljInner inner = NljInnerBlocks(choice.est, left.rows, t);
+      if (inner.lookup_blocks > 0) {
+        s.leaves.push_back(LeafIo{bound_[t].object_id, inner.lookup_blocks});
+      }
+      if (!choice.est.inner->clustered && inner.seek_blocks > 0) {
+        s.leaves.push_back(LeafIo{choice.est.inner->index_object_id, inner.seek_blocks});
+      }
+      break;
+    }
+    case JoinAlg::kHash:
+      append(left.rows <= right.rows ? left : right);
+      append(left.rows <= right.rows ? right : left);
+      break;
+  }
+  return s;
+}
+
+std::unique_ptr<PlanNode> SelectPlanner::BuildJoin(std::unique_ptr<PlanNode> left,
+                                                   const PlanSummary& left_summary,
+                                                   size_t t,
+                                                   std::unique_ptr<PlanNode> right,
+                                                   const JoinChoice& choice) {
+  std::string detail;
+  const JoinEstimate est = EstimateJoin(left_summary, t, &detail);
+  auto node = std::make_unique<PlanNode>();
+  node->out_rows = est.rows;
+  node->detail = detail;
+  switch (choice.alg) {
+    case JoinAlg::kMerge: {
+      auto sorted_input = [](std::unique_ptr<PlanNode> input,
+                             const std::string& key) -> std::unique_ptr<PlanNode> {
+        if (!input->sort_order.empty() && input->sort_order[0] == key) return input;
+        auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
+        sort->out_rows = input->out_rows;
+        sort->detail = "sort on " + key;
+        sort->sort_order = {key};
+        sort->AddChild(std::move(input));
+        return sort;
+      };
+      node->op = PlanOp::kMergeJoin;
+      node->AddChild(sorted_input(std::move(left), keys_[est.left_key]));
+      node->AddChild(sorted_input(std::move(right), keys_[est.inner->key]));
+      node->sort_order = node->children[0]->sort_order;
+      break;
+    }
+    case JoinAlg::kIndexNestedLoops: {
+      // The inner seeks the right table per outer row; its standalone
+      // access path is not part of the plan.
+      const BoundTable& bt = bound_[t];
+      const Table& table = *bt.table;
+      const NljInner blocks = NljInnerBlocks(est, left_summary.rows, t);
+      const std::string seek_detail = "seek " + keys_[est.inner->key] + " = outer";
+      std::unique_ptr<PlanNode> inner;
+      if (est.inner->clustered) {
+        inner = std::make_unique<PlanNode>(PlanOp::kClusteredSeek);
+        inner->detail = seek_detail;
+      } else {
+        auto seek = std::make_unique<PlanNode>(PlanOp::kIndexSeek);
+        seek->object_id = est.inner->index_object_id;
+        seek->object_name = table.name + "." + est.inner->index->name;
+        seek->blocks_accessed = blocks.seek_blocks;
+        seek->random_access = true;
+        seek->detail = seek_detail;
+        inner = std::make_unique<PlanNode>(PlanOp::kRidLookup);
+        inner->AddChild(std::move(seek));
+      }
+      inner->object_id = bt.object_id;
+      inner->object_name = table.name;
+      inner->blocks_accessed = blocks.lookup_blocks;
+      inner->random_access = true;
+      inner->out_rows = est.rows;
+      node->op = PlanOp::kNestedLoopsJoin;
+      node->sort_order = left->sort_order;
+      node->AddChild(std::move(left));
+      node->AddChild(std::move(inner));
+      break;
+    }
+    case JoinAlg::kHash: {
+      node->op = PlanOp::kHashJoin;
+      const bool left_builds = left_summary.rows <= base_[t].rows;
+      node->AddChild(left_builds ? std::move(left) : std::move(right));
+      node->AddChild(left_builds ? std::move(right) : std::move(left));
+      break;
     }
   }
-  return std::move(candidates[best]);
+  // Audit: the summary arithmetic must reproduce costing the built tree.
+  DBLAYOUT_DCHECK_EQ(ImplCost(*node), choice.cost);
+  DBLAYOUT_DCHECK_EQ(node->out_rows, choice.est.rows);
+  return node;
 }
 
 namespace {
@@ -526,152 +739,130 @@ double SelectPlanner::ImplCost(const PlanNode& node) const {
 }
 
 Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTree() {
-  std::vector<JoinInput> inputs;
+  std::vector<std::unique_ptr<PlanNode>> access;
   for (size_t t = 0; t < bound_.size(); ++t) {
-    JoinInput in;
-    DBLAYOUT_ASSIGN_OR_RETURN(in.plan, BuildAccessPath(t));
-    in.rows = in.plan->out_rows;
-    in.tables = {t};
-    inputs.push_back(std::move(in));
+    DBLAYOUT_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan, BuildAccessPath(t));
+    base_.push_back(Summarize(*plan, t));
+    access.push_back(std::move(plan));
   }
-  if (inputs.size() == 1) return std::move(inputs[0].plan);
-  if (static_cast<int>(inputs.size()) <= options_.dp_join_table_limit) {
-    return BuildJoinTreeDp(std::move(inputs));
+  if (access.size() == 1) return std::move(access[0]);
+  if (static_cast<int>(access.size()) <= options_.dp_join_table_limit) {
+    return BuildJoinTreeDp(std::move(access));
   }
-  return BuildJoinTreeGreedy(std::move(inputs));
+  return BuildJoinTreeGreedy(std::move(access));
 }
 
-Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTreeDp(
-    std::vector<JoinInput> inputs) {
+std::unique_ptr<PlanNode> SelectPlanner::BuildJoinTreeDp(
+    std::vector<std::unique_ptr<PlanNode>> access) {
   // System-R-style left-deep dynamic programming over table subsets, scored
-  // by ImplCost. Cross joins are admitted only when a subset has no
-  // connected extension.
-  const size_t n = inputs.size();
+  // by ImplCost on summaries. Cross joins are admitted only when a subset has
+  // no connected extension. Each subset keeps its best summary and the last
+  // table joined; the winning tree is built once, along those back-pointers.
+  const size_t n = access.size();
   struct State {
-    std::unique_ptr<PlanNode> plan;
-    double rows = 0;
-    double cost = 0;
+    PlanSummary summary;
+    size_t last = 0;  ///< table joined last (the right input)
+    JoinChoice choice;
     bool valid = false;
   };
   std::vector<State> best(size_t{1} << n);
+  std::vector<size_t> neighbors(n, 0);  // per table: mask of joinable tables
+  for (const JoinPred& jp : join_preds_) {
+    neighbors[jp.lhs_table] |= size_t{1} << jp.rhs_table;
+    neighbors[jp.rhs_table] |= size_t{1} << jp.lhs_table;
+  }
   for (size_t t = 0; t < n; ++t) {
     State& s = best[size_t{1} << t];
-    s.plan = ClonePlan(*inputs[t].plan);
-    s.rows = inputs[t].rows;
-    s.cost = ImplCost(*s.plan);
+    s.summary = base_[t];
     s.valid = true;
   }
 
-  // Predicates connecting table t to any table in `mask`.
-  auto preds_between = [&](size_t mask, size_t t) {
-    std::vector<const Predicate*> preds;
-    for (const JoinPred& jp : join_preds_) {
-      const bool lhs_in = (mask >> jp.lhs_table) & 1;
-      const bool rhs_in = (mask >> jp.rhs_table) & 1;
-      if ((lhs_in && jp.rhs_table == t) || (rhs_in && jp.lhs_table == t)) {
-        preds.push_back(jp.pred);
-      }
-    }
-    return preds;
-  };
-
   for (size_t mask = 1; mask < best.size(); ++mask) {
     if (__builtin_popcountll(mask) < 2) continue;
+    State& s = best[mask];
     // First pass: connected extensions only; second pass admits cross joins
     // if the subset would otherwise be unreachable.
     for (const bool allow_cross : {false, true}) {
-      if (allow_cross && best[mask].valid) break;
+      if (allow_cross && s.valid) break;
       for (size_t t = 0; t < n; ++t) {
         if (!((mask >> t) & 1)) continue;
         const size_t rest = mask & ~(size_t{1} << t);
         if (!best[rest].valid) continue;
-        std::vector<const Predicate*> preds = preds_between(rest, t);
-        if (preds.empty() && !allow_cross) continue;
-
-        JoinInput left;
-        left.plan = ClonePlan(*best[rest].plan);
-        left.rows = best[rest].rows;
-        for (size_t u = 0; u < n; ++u) {
-          if ((rest >> u) & 1) left.tables.insert(u);
-        }
-        JoinInput right;
-        right.plan = ClonePlan(*inputs[t].plan);
-        right.rows = inputs[t].rows;
-        right.tables = {t};
-
-        DBLAYOUT_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> joined,
-                                  MakeJoin(&left, &right, preds));
-        const double cost = ImplCost(*joined);
-        State& s = best[mask];
-        if (!s.valid || cost < s.cost) {
-          s.rows = joined->out_rows;
-          s.plan = std::move(joined);
-          s.cost = cost;
+        if ((neighbors[t] & rest) == 0 && !allow_cross) continue;
+        JoinChoice choice = ChooseJoin(best[rest].summary, t);
+        if (!s.valid || choice.cost < s.choice.cost) {
+          s.last = t;
+          s.choice = choice;
           s.valid = true;
         }
       }
     }
-    if (!best[mask].valid && mask + 1 == best.size()) {
-      return Status::Internal("join enumeration failed to cover all tables");
-    }
+    DBLAYOUT_CHECK(s.valid);
+    s.summary = JoinSummary(best[mask & ~(size_t{1} << s.last)].summary, s.last,
+                            s.choice);
   }
-  return std::move(best.back().plan);
+
+  // Replay the winning join order bottom-up: n-1 joins, each built once.
+  std::vector<size_t> order;
+  size_t mask = best.size() - 1;
+  while (__builtin_popcountll(mask) > 1) {
+    order.push_back(best[mask].last);
+    mask &= ~(size_t{1} << best[mask].last);
+  }
+  std::unique_ptr<PlanNode> plan =
+      std::move(access[static_cast<size_t>(__builtin_ctzll(mask))]);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const size_t t = *it;
+    plan = BuildJoin(std::move(plan), best[mask].summary, t, std::move(access[t]),
+                     best[mask | (size_t{1} << t)].choice);
+    mask |= size_t{1} << t;
+  }
+  return plan;
 }
 
-Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTreeGreedy(
-    std::vector<JoinInput> inputs) {
+std::unique_ptr<PlanNode> SelectPlanner::BuildJoinTreeGreedy(
+    std::vector<std::unique_ptr<PlanNode>> access) {
   // Greedy left-deep enumeration: start from the smallest input; repeatedly
   // add the connected table minimizing the estimated result size. Tables
   // with no join edge are cross-joined last.
   size_t start = 0;
-  for (size_t i = 1; i < inputs.size(); ++i) {
-    if (inputs[i].rows < inputs[start].rows) start = i;
+  for (size_t i = 1; i < access.size(); ++i) {
+    if (base_[i].rows < base_[start].rows) start = i;
   }
-  JoinInput current = std::move(inputs[start]);
-  std::vector<bool> used(inputs.size(), false);
-  used[start] = true;
+  std::unique_ptr<PlanNode> plan = std::move(access[start]);
+  PlanSummary current = base_[start];
 
-  for (size_t step = 1; step < inputs.size(); ++step) {
+  for (size_t step = 1; step < access.size(); ++step) {
     // Find the best next input.
     double best_rows = std::numeric_limits<double>::infinity();
-    size_t best_i = inputs.size();
+    size_t best_i = access.size();
     bool best_connected = false;
-    std::vector<const Predicate*> best_preds;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (used[i]) continue;
-      std::vector<const Predicate*> preds;
+    for (size_t i = 0; i < access.size(); ++i) {
+      if (current.tables[i]) continue;
+      bool connected = false;
       double sel = 1.0;
       for (const JoinPred& jp : join_preds_) {
-        const bool connects =
-            (current.tables.count(jp.lhs_table) > 0 && inputs[i].tables.count(jp.rhs_table) > 0) ||
-            (current.tables.count(jp.rhs_table) > 0 && inputs[i].tables.count(jp.lhs_table) > 0);
+        const bool connects = (current.tables[jp.lhs_table] && jp.rhs_table == i) ||
+                              (current.tables[jp.rhs_table] && jp.lhs_table == i);
         if (!connects) continue;
-        preds.push_back(jp.pred);
-        sel *= jp.pred->op == CompareOp::kEq
-                   ? JoinSelectivity(jp.lhs_col->distinct_count, jp.rhs_col->distinct_count)
-                   : kDefaultRangeSelectivity;
+        connected = true;
+        sel *= jp.sel;
       }
-      const bool connected = !preds.empty();
-      const double est = current.rows * inputs[i].rows * sel;
+      const double est = current.rows * base_[i].rows * sel;
       // Prefer connected joins over cross products regardless of size.
       if ((connected && !best_connected) ||
           (connected == best_connected && est < best_rows)) {
         best_rows = est;
         best_i = i;
         best_connected = connected;
-        best_preds = std::move(preds);
       }
     }
-    DBLAYOUT_CHECK(best_i < inputs.size());
-    DBLAYOUT_ASSIGN_OR_RETURN(
-        std::unique_ptr<PlanNode> joined,
-        MakeJoin(&current, &inputs[best_i], best_preds));
-    current.rows = joined->out_rows;
-    current.plan = std::move(joined);
-    for (size_t t : inputs[best_i].tables) current.tables.insert(t);
-    used[best_i] = true;
+    DBLAYOUT_CHECK(best_i < access.size());
+    const JoinChoice choice = ChooseJoin(current, best_i);
+    plan = BuildJoin(std::move(plan), current, best_i, std::move(access[best_i]), choice);
+    current = JoinSummary(current, best_i, choice);
   }
-  return std::move(current.plan);
+  return plan;
 }
 
 std::unique_ptr<PlanNode> SelectPlanner::AddAggregation(

@@ -7,7 +7,10 @@
 // Design notes:
 //  - Access paths: heap/clustered scan, clustered-index seek, non-clustered
 //    index seek + RID lookup, chosen by estimated block cost.
-//  - Join order: greedy smallest-intermediate-result, left-deep.
+//  - Join order: left-deep dynamic programming over table subsets (System R)
+//    for up to OptimizerOptions::dp_join_table_limit tables, greedy
+//    smallest-intermediate-result beyond that. Both enumerate on per-subset
+//    cost summaries and build only the winning plan tree.
 //  - Join algorithms: merge join when both inputs arrive sorted on the join
 //    key (the common TPC-H case with clustered PKs), index nested loops when
 //    the inner has a usable index and the outer is small, hash join

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 
 #include "catalog/catalog.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/selectivity.h"
 #include "sql/parser.h"
+#include "wide_join_schema.h"
 
 namespace dblayout {
 namespace {
@@ -426,6 +428,71 @@ TEST(OptimizerTest, NestedSubqueriesFlatten) {
   EXPECT_TRUE(names.count("dim"));
   EXPECT_TRUE(names.count("fact"));
   EXPECT_TRUE(names.count("big2"));
+}
+
+/// Per table name, how many leaves access that table's base object.
+std::map<std::string, int> BaseBindings(const Database& db, const PlanNode& plan) {
+  std::map<std::string, int> out;
+  std::function<void(const PlanNode&)> walk = [&](const PlanNode& n) {
+    if (n.object_id >= 0 && db.FindTable(n.object_name) != nullptr) {
+      ++out[n.object_name];
+    }
+    for (const auto& c : n.children) walk(*c);
+  };
+  walk(plan);
+  return out;
+}
+
+int CountJoins(const PlanNode& plan) {
+  return CountOp(plan, PlanOp::kMergeJoin) + CountOp(plan, PlanOp::kHashJoin) +
+         CountOp(plan, PlanOp::kNestedLoopsJoin);
+}
+
+/// Plans the n-table chain join and checks every table is bound exactly once
+/// by n-1 joins.
+void ExpectChainJoinBindsEveryTable(int n) {
+  const Database db = testing_schema::MakeChainDatabase(n);
+  auto plan = PlanFor(db, testing_schema::ChainJoinSql(n));
+  ASSERT_NE(plan, nullptr);
+  std::map<std::string, int> want;
+  for (int i = 0; i < n; ++i) want["c" + std::to_string(i)] = 1;
+  EXPECT_EQ(BaseBindings(db, *plan), want);
+  EXPECT_EQ(CountJoins(*plan), n - 1);
+  EXPECT_GE(plan->out_rows, 1.0);
+}
+
+TEST(OptimizerTest, ChainJoinAtDpLimit) {
+  ASSERT_EQ(OptimizerOptions{}.dp_join_table_limit, 12);
+  ExpectChainJoinBindsEveryTable(12);
+}
+
+TEST(OptimizerTest, ChainJoinJustPastDpLimitUsesGreedy) {
+  ExpectChainJoinBindsEveryTable(13);
+}
+
+TEST(OptimizerTest, SeventyTableChainJoinUsesGreedy) {
+  ExpectChainJoinBindsEveryTable(70);
+}
+
+TEST(OptimizerTest, UnaliasedDuplicateTableBindsBothInstances) {
+  const Database db = testing_schema::MakeChainDatabase(3);
+  auto plan = PlanFor(db, testing_schema::kSharedBindNameSql);
+  ASSERT_NE(plan, nullptr);
+  const std::map<std::string, int> want = {{"c0", 1}, {"c1", 2}, {"c2", 1}};
+  EXPECT_EQ(BaseBindings(db, *plan), want);
+  EXPECT_EQ(CountJoins(*plan), 3);
+}
+
+TEST(OptimizerTest, CrossJoinInsideDpSizedQuery) {
+  const Database db = testing_schema::MakeChainDatabase(6);
+  auto plan = PlanFor(db, testing_schema::kCrossJoinInDpSql);
+  ASSERT_NE(plan, nullptr);
+  const std::map<std::string, int> want = {
+      {"c0", 1}, {"c1", 1}, {"c2", 1}, {"c3", 1}, {"c5", 1}};
+  EXPECT_EQ(BaseBindings(db, *plan), want);
+  EXPECT_EQ(CountJoins(*plan), 4);
+  // The predicate-free table can only enter through a hash join.
+  EXPECT_GE(CountOp(*plan, PlanOp::kHashJoin), 1);
 }
 
 TEST(PlanTest, BlockingOps) {
