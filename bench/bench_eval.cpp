@@ -6,15 +6,18 @@
 // The workload of one greedy iteration is scored three ways over the same
 // candidate set (every object widened by one drive from full striping):
 //   full      — CostModel::WorkloadCost on a materialized candidate layout
-//   delta     — LayoutEvaluator::ScoreProportionalMove, 1 thread
-//   parallel  — same scoring fanned out over the shared pool
+//   delta     — LayoutEvaluator::ScoreBatch over all candidates, 1 thread
+//   parallel  — the search's scoring step: batches of
+//               LayoutEvaluator::kLanes fanned out over the shared pool
 // Delta totals must be bit-identical to the full recomputation (that is the
 // evaluator's contract), so the speedup column is a pure wall-clock story.
 // A final case runs the whole TS-GREEDY search with 1 and 8 scoring threads
-// and checks the results are identical. The bench exits 1 if any case's
-// max |full - delta| is non-zero or the two searches differ.
+// and checks the results are identical. The bench exits 1 if any delta or
+// parallel total differs from the full one in its bit pattern (a NaN
+// included), or if the two searches differ.
 
-#include <cmath>
+#include <bit>
+#include <cstdint>
 
 #include "bench/bench_util.h"
 #include "benchdata/apb.h"
@@ -71,8 +74,20 @@ struct CaseResult {
   double full_s = 0;
   double delta_s = 0;
   double par_s[2] = {0, 0};  // 2 and 8 threads
-  double max_abs_diff = 0;   // full vs delta totals (must be 0)
+  int64_t mismatches = 0;    // delta/parallel totals whose bits differ from full
 };
+
+/// Totals of `got` whose bit pattern differs from `want`'s.
+int64_t BitMismatches(const std::vector<double>& want,
+                      const std::vector<double>& got) {
+  int64_t mismatches = 0;
+  for (size_t k = 0; k < want.size(); ++k) {
+    if (std::bit_cast<uint64_t>(want[k]) != std::bit_cast<uint64_t>(got[k])) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
 
 CaseResult RunCase(const Database& db, const DiskFleet& fleet,
                    const WorkloadProfile& profile, int rounds) {
@@ -98,6 +113,13 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
 
   std::vector<double> full_costs(cands.size(), 0.0);
   std::vector<double> delta_costs(cands.size(), 0.0);
+  std::vector<std::vector<int>> objects;
+  objects.reserve(cands.size());
+  for (const Candidate& c : cands) objects.push_back({c.object});
+  std::vector<LayoutEvaluator::Move> moves;
+  for (size_t k = 0; k < cands.size(); ++k) {
+    moves.push_back({&objects[k], &cands[k].disks, nullptr});
+  }
 
   // Full recomputation: materialize each candidate, evaluate from scratch.
   r.full_s = TimeSeconds([&] {
@@ -114,43 +136,38 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
   r.delta_s = TimeSeconds([&] {
     LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
     for (int round = 0; round < rounds; ++round) {
-      for (size_t k = 0; k < cands.size(); ++k) {
-        delta_costs[k] = evaluator.ScoreProportionalMove(
-            {cands[k].object}, cands[k].disks, &scratch);
-      }
+      evaluator.ScoreBatch(moves, &scratch, delta_costs);
     }
   });
+  r.mismatches += BitMismatches(full_costs, delta_costs);
 
-  for (size_t k = 0; k < cands.size(); ++k) {
-    r.max_abs_diff =
-        std::max(r.max_abs_diff, std::abs(full_costs[k] - delta_costs[k]));
-  }
-
-  // Parallel delta scoring across the shared pool.
+  // Parallel delta scoring across the shared pool, one batch of kLanes
+  // candidates per index, as the search scores.
+  static constexpr size_t kBatch = LayoutEvaluator::kLanes;
+  const size_t batches = (cands.size() + kBatch - 1) / kBatch;
   const int thread_counts[2] = {2, 8};
   for (int t = 0; t < 2; ++t) {
     const int threads = thread_counts[t];
+    std::fill(delta_costs.begin(), delta_costs.end(), 0.0);
     std::vector<LayoutEvaluator::Scratch> scratches(
         static_cast<size_t>(ThreadPool::SharedParallelism(threads)));
     r.par_s[t] = TimeSeconds([&] {
       for (int round = 0; round < rounds; ++round) {
         for (auto& s : scratches) s = evaluator.MakeScratch();
         ThreadPool::SharedParallelFor(
-            static_cast<int64_t>(cands.size()), threads,
-            [&cands, &delta_costs, &evaluator, &scratches](int64_t k,
+            static_cast<int64_t>(batches), threads,
+            [&moves, &delta_costs, &evaluator, &scratches](int64_t b,
                                                            int worker) {
-              delta_costs[static_cast<size_t>(k)] =
-                  evaluator.ScoreProportionalMove(
-                      {cands[static_cast<size_t>(k)].object},
-                      cands[static_cast<size_t>(k)].disks,
-                      &scratches[static_cast<size_t>(worker)]);
+              const size_t begin = static_cast<size_t>(b) * kBatch;
+              const size_t count = std::min(kBatch, moves.size() - begin);
+              evaluator.ScoreBatch(
+                  std::span(moves).subspan(begin, count),
+                  &scratches[static_cast<size_t>(worker)],
+                  std::span(delta_costs).subspan(begin, count));
             });
       }
     });
-    for (size_t k = 0; k < cands.size(); ++k) {
-      r.max_abs_diff =
-          std::max(r.max_abs_diff, std::abs(full_costs[k] - delta_costs[k]));
-    }
+    r.mismatches += BitMismatches(full_costs, delta_costs);
   }
   return r;
 }
@@ -185,8 +202,8 @@ int main() {
   BenchJson json("eval");
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"workload", "cands", "subplans", "shapes", "full(ms)",
-                  "delta(ms)", "par2(ms)", "par8(ms)", "delta speedup",
-                  "par8 speedup", "max |full-delta|"});
+                  "delta(ms)", "delta(ns/cand)", "par2(ms)", "par8(ms)",
+                  "delta speedup", "par8 speedup", "bit mismatches"});
 
   struct Case {
     const char* name;
@@ -199,36 +216,43 @@ int main() {
                         Case{"Table2", &db, &table2, 20},
                         Case{"APB-800", &apb, &profile_apb, 2}}) {
     const CaseResult r = RunCase(*c.db, fleet, *c.profile, c.rounds);
-    parity = parity && r.max_abs_diff == 0;
+    parity = parity && r.mismatches == 0;
     const double delta_speedup = r.delta_s > 0 ? r.full_s / r.delta_s : 0;
     const double par8_speedup = r.par_s[1] > 0 ? r.full_s / r.par_s[1] : 0;
+    const double delta_ns =
+        1e9 * r.delta_s / static_cast<double>(r.candidates * static_cast<size_t>(c.rounds));
     rows.push_back({c.name, StrFormat("%zu", r.candidates),
                     StrFormat("%d", r.subplans), StrFormat("%d", r.shapes),
                     StrFormat("%.2f", 1e3 * r.full_s),
                     StrFormat("%.2f", 1e3 * r.delta_s),
+                    StrFormat("%.0f", delta_ns),
                     StrFormat("%.2f", 1e3 * r.par_s[0]),
                     StrFormat("%.2f", 1e3 * r.par_s[1]),
                     StrFormat("%.1fx", delta_speedup),
                     StrFormat("%.1fx", par8_speedup),
-                    StrFormat("%.3g", r.max_abs_diff)});
+                    StrFormat("%lld", static_cast<long long>(r.mismatches))});
     json.Add(c.name,
              {{"candidates", StrFormat("%zu", r.candidates)},
               {"subplans", StrFormat("%d", r.subplans)},
               {"shapes", StrFormat("%d", r.shapes)},
               {"full_s", StrFormat("%.6f", r.full_s)},
               {"delta_s", StrFormat("%.6f", r.delta_s)},
+              {"delta_ns_per_cand", StrFormat("%.1f", delta_ns)},
               {"par2_s", StrFormat("%.6f", r.par_s[0])},
               {"par8_s", StrFormat("%.6f", r.par_s[1])},
               {"delta_speedup", StrFormat("%.2f", delta_speedup)},
               {"par8_speedup", StrFormat("%.2f", par8_speedup)},
-              {"max_abs_diff", StrFormat("%.6g", r.max_abs_diff)}});
+              {"mismatches",
+               StrFormat("%lld", static_cast<long long>(r.mismatches))}});
   }
   PrintTable(
       "Per-iteration candidate scoring: full recomputation vs delta costing "
       "vs parallel (8 drives)",
       rows);
   if (!parity) {
-    std::fprintf(stderr, "FAIL: delta totals differ from full recomputation\n");
+    std::fprintf(stderr,
+                 "FAIL: delta totals differ from full recomputation in their "
+                 "bits\n");
     json.Write();
     return 1;
   }

@@ -9,6 +9,20 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 
+// Delta scoring is bit-identical to the §5 oracle only while every
+// floating-point operation is rounded as written: reassociation
+// (-ffast-math, -fassociative-math) or contraction into fused multiply-adds
+// breaks delta/oracle bit identity. -ffast-math announces itself through
+// __FAST_MATH__ and is refused here. -fassociative-math alone and
+// -ffp-contract have no macro. GCC defaults to -ffp-contract=fast even
+// under -std=c++20 (CMAKE_CXX_EXTENSIONS OFF); the default build fuses
+// nothing only because the baseline x86-64 ISA has no FMA instruction. For
+// those flags, and for targets with FMA (a -march flag, or AArch64), the
+// EvaluatorTest bit-identity tests are the fence.
+#ifdef __FAST_MATH__
+#error "reassociating floating-point math breaks delta/oracle bit identity"
+#endif
+
 namespace dblayout {
 
 double CostModel::SubplanCost(const SubplanAccess& subplan, const Layout& layout) const {
@@ -104,9 +118,9 @@ double CostModel::WorkloadCost(const WorkloadProfile& profile,
   return total;
 }
 
-void CostModel::NoteExternalWorkloadEvaluation() const {
-  workload_evals_.fetch_add(1, std::memory_order_relaxed);
-  DBLAYOUT_OBS_COUNT("cost_model/workload_evals", 1);
+void CostModel::NoteExternalWorkloadEvaluation(int64_t count) const {
+  workload_evals_.fetch_add(count, std::memory_order_relaxed);
+  DBLAYOUT_OBS_COUNT("cost_model/workload_evals", count);
 }
 
 }  // namespace dblayout

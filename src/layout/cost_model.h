@@ -51,14 +51,15 @@ class CostModel {
     return workload_evals_.load(std::memory_order_relaxed);
   }
 
-  /// Records one workload-level evaluation performed outside WorkloadCost.
-  /// The LayoutEvaluator scores a full candidate layout while re-costing
-  /// only the affected sub-plans; it still *evaluated a layout*, so it must
-  /// land in the same counter (and the same `cost_model/workload_evals` obs
-  /// metric) as a full recomputation — otherwise layouts_evaluated would
-  /// silently change meaning with SearchOptions::num_threads or the delta
-  /// path enabled. Thread-safe.
-  void NoteExternalWorkloadEvaluation() const;
+  /// Records `count` workload-level evaluations performed outside
+  /// WorkloadCost. The LayoutEvaluator scores a full candidate layout while
+  /// re-costing only the affected sub-plans; it still *evaluated a layout*,
+  /// so it must land in the same counter (and the same
+  /// `cost_model/workload_evals` obs metric) as a full recomputation —
+  /// otherwise layouts_evaluated would silently change meaning with
+  /// SearchOptions::num_threads or the delta path enabled. The evaluator
+  /// records a whole scoring batch in one call. Thread-safe.
+  void NoteExternalWorkloadEvaluation(int64_t count) const;
 
   const DiskFleet& fleet() const { return fleet_; }
 

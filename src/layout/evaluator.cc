@@ -4,11 +4,26 @@
 #include <bit>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
+
+// Delta scoring is bit-identical to the §5 oracle only while every
+// floating-point operation is rounded as written: reassociation
+// (-ffast-math, -fassociative-math) or contraction into fused multiply-adds
+// breaks delta/oracle bit identity. -ffast-math announces itself through
+// __FAST_MATH__ and is refused here. -fassociative-math alone and
+// -ffp-contract have no macro. GCC defaults to -ffp-contract=fast even
+// under -std=c++20 (CMAKE_CXX_EXTENSIONS OFF); the default build fuses
+// nothing only because the baseline x86-64 ISA has no FMA instruction. For
+// those flags, and for targets with FMA (a -march flag, or AArch64), the
+// EvaluatorTest bit-identity tests are the fence.
+#ifdef __FAST_MATH__
+#error "reassociating floating-point math breaks delta/oracle bit identity"
+#endif
 
 namespace dblayout {
 
@@ -29,20 +44,59 @@ void AppendOnce(std::vector<int32_t>* list, int32_t id) {
   if (list->empty() || list->back() != id) list->push_back(id);
 }
 
-/// Marks `id` overridden in `epoch`, recording it once per epoch.
-void Touch(LayoutEvaluator::Overrides* o, int32_t id, int64_t epoch) {
+constexpr size_t kLanes = LayoutEvaluator::kLanes;
+
+/// Marks `id` overridden in `lane` at `epoch` (unique to that lane's
+/// score), recording its slot once.
+void Touch(LayoutEvaluator::Overrides* o, int32_t id, size_t lane,
+           int64_t epoch) {
   int64_t& stamp = o->stamp[static_cast<size_t>(id)];
   if (stamp == epoch) return;
   stamp = epoch;
-  o->ids.push_back(id);
+  o->slots.push_back(static_cast<size_t>(id) * kLanes + lane);
 }
 
-/// Puts the bound costs back over the previous epoch's overrides.
+/// Puts the bound costs back over the previous score's overrides.
 void Undo(LayoutEvaluator::Overrides* o, const std::vector<double>& bound) {
-  for (int32_t id : o->ids) {
-    o->cost[static_cast<size_t>(id)] = bound[static_cast<size_t>(id)];
+  for (size_t slot : o->slots) o->cost[slot] = bound[slot / kLanes];
+  o->slots.clear();
+}
+
+/// Makes the overrides of a one-move score (all in lane 0) the bound costs:
+/// each goes into `bound` and across every lane of `o`.
+void Adopt(LayoutEvaluator::Overrides* o, std::vector<double>* bound) {
+  for (size_t slot : o->slots) {
+    DBLAYOUT_DCHECK(slot % kLanes == 0);
+    const double cost = o->cost[slot];
+    (*bound)[slot / kLanes] = cost;
+    std::fill_n(o->cost.begin() + static_cast<std::ptrdiff_t>(slot), kLanes, cost);
   }
-  o->ids.clear();
+  o->slots.clear();
+}
+
+/// Every bound cost repeated once per lane.
+std::vector<double> Interleave(const std::vector<double>& bound) {
+  std::vector<double> lanes;
+  lanes.reserve(bound.size() * kLanes);
+  for (double cost : bound) lanes.insert(lanes.end(), kLanes, cost);
+  return lanes;
+}
+
+/// The statement fold of kLanes candidates in one pass: lane L sums
+/// weight * term_costs[term * kLanes + L] from 0 in statement order —
+/// WorkloadCost's exact association order — and never reads another lane.
+/// The pack expansion gives every accumulator a constant index, so the
+/// chains stay in registers; an indexed `for` over the lanes kept them in
+/// memory, paying a store and a reload on every add.
+template <typename Statements, size_t... L>
+void FoldLanes(const Statements& statements, const double* term_costs,
+               double* totals, std::index_sequence<L...>) {
+  double acc[] = {(static_cast<void>(L), 0.0)...};
+  for (const auto& st : statements) {
+    const double* cost = term_costs + static_cast<size_t>(st.term) * kLanes;
+    ((acc[L] += st.weight * cost[L]), ...);
+  }
+  ((totals[L] = acc[L]), ...);
 }
 
 }  // namespace
@@ -101,12 +155,13 @@ LayoutEvaluator::LayoutEvaluator(const WorkloadProfile& profile,
   }
 }
 
-double LayoutEvaluator::TermCost(int32_t term,
-                                 const std::vector<double>& shape_costs) const {
+double LayoutEvaluator::TermCost(int32_t term, const double* shape_costs,
+                                 size_t stride) const {
   double cost = 0;
   for (int32_t k = term_begin_[static_cast<size_t>(term)];
        k < term_begin_[static_cast<size_t>(term) + 1]; ++k) {
-    cost += shape_costs[static_cast<size_t>(term_shapes_[static_cast<size_t>(k)])];
+    cost += shape_costs[static_cast<size_t>(term_shapes_[static_cast<size_t>(k)]) *
+                        stride];
   }
   return cost;
 }
@@ -134,14 +189,14 @@ double LayoutEvaluator::Bind(const Layout& layout) {
   }
   term_cost_.resize(term_begin_.size() - 1);
   for (size_t t = 0; t < term_cost_.size(); ++t) {
-    term_cost_[t] = TermCost(static_cast<int32_t>(t), shape_cost_);
+    term_cost_[t] = TermCost(static_cast<int32_t>(t), shape_cost_.data(), 1);
   }
   total_ = SumTotal(term_cost_);
   bound_ = true;
   staging_ = MakeScratch();
   staged_valid_ = false;
   ++full_evals_;
-  cost_model_.NoteExternalWorkloadEvaluation();
+  cost_model_.NoteExternalWorkloadEvaluation(1);
   DBLAYOUT_OBS_COUNT("evaluator/full_evals", 1);
   if (journal_ != nullptr) {
     journal_->Append("bind",
@@ -156,155 +211,148 @@ LayoutEvaluator::Scratch LayoutEvaluator::MakeScratch() const {
   DBLAYOUT_DCHECK(bound_);
   Scratch s;
   s.layout = layout_;
-  s.shapes.cost = shape_cost_;
+  s.shapes.cost = Interleave(shape_cost_);
   s.shapes.stamp.assign(shape_cost_.size(), 0);
-  s.terms.cost = term_cost_;
+  s.terms.cost = Interleave(term_cost_);
   s.terms.stamp.assign(term_cost_.size(), 0);
   s.epoch = 0;
   return s;
 }
 
-template <typename ApplyFn>
-double LayoutEvaluator::ScoreCore(const std::vector<int>& objects,
-                                  const ApplyFn& apply, Scratch* scratch,
-                                  bool restore) const {
+void LayoutEvaluator::ApplyMove(const Move& move, Layout* layout) const {
+  for (int i : *move.objects) {
+    if (move.rows == nullptr) {
+      layout->AssignProportional(i, *move.disks, cost_model_.fleet());
+    } else {
+      for (int j = 0; j < layout->num_disks(); ++j) {
+        layout->set_x(i, j, move.rows->x(i, j));
+      }
+    }
+  }
+}
+
+int64_t LayoutEvaluator::ScoreLanes(const Move* moves, size_t count,
+                                    Scratch* scratch, double* totals) const {
   DBLAYOUT_DCHECK(bound_);
+  DBLAYOUT_DCHECK(count >= 1 && count <= kLanes);
   Scratch& s = *scratch;
   // The previous score's overrides stay in place until now, so the staging
   // path can Commit them.
   Undo(&s.shapes, shape_cost_);
   Undo(&s.terms, term_cost_);
-  ++s.epoch;
   const int m = layout_.num_disks();
 
-  // Back up the rows about to change, then apply the candidate rows.
-  s.saved_rows.resize(objects.size() * static_cast<size_t>(m));
-  for (size_t k = 0; k < objects.size(); ++k) {
-    for (int j = 0; j < m; ++j) {
-      s.saved_rows[k * static_cast<size_t>(m) + static_cast<size_t>(j)] =
-          s.layout.x(objects[k], j);
+  for (size_t lane = 0; lane < count; ++lane) {
+    const std::vector<int>& objects = *moves[lane].objects;
+    ++s.epoch;
+    const size_t first_shape = s.shapes.slots.size();
+    const size_t first_term = s.terms.slots.size();
+    ApplyMove(moves[lane], &s.layout);
+    // Affected shapes: the union of the moved objects' inverted-index
+    // entries; affected terms: the union of those shapes' terms. Both are
+    // deduped by the lane's epoch stamp and written to the lane's column.
+    for (int obj : objects) {
+      if (static_cast<size_t>(obj) >= object_shapes_.size()) continue;
+      for (int32_t id : object_shapes_[static_cast<size_t>(obj)]) {
+        Touch(&s.shapes, id, lane, s.epoch);
+      }
+    }
+    for (size_t k = first_shape; k < s.shapes.slots.size(); ++k) {
+      const size_t slot = s.shapes.slots[k];
+      s.shapes.cost[slot] =
+          cost_model_.SubplanCost(*shapes_[slot / kLanes], s.layout);
+      for (int32_t t : shape_terms_[slot / kLanes]) {
+        Touch(&s.terms, t, lane, s.epoch);
+      }
+    }
+    for (size_t k = first_term; k < s.terms.slots.size(); ++k) {
+      const size_t slot = s.terms.slots[k];
+      s.terms.cost[slot] = TermCost(static_cast<int32_t>(slot / kLanes),
+                                    s.shapes.cost.data() + lane, kLanes);
+    }
+    // The scratch layout mirrors the bound one between scores.
+    for (int i : objects) {
+      for (int j = 0; j < m; ++j) s.layout.set_x(i, j, layout_.x(i, j));
     }
   }
-  apply(s.layout);
 
-  // Affected shapes: the union of the moved objects' inverted-index
-  // entries; affected terms: the union of those shapes' terms. Both are
-  // deduped by epoch stamp.
-  for (int obj : objects) {
-    if (static_cast<size_t>(obj) >= object_shapes_.size()) continue;
-    for (int32_t id : object_shapes_[static_cast<size_t>(obj)]) {
-      Touch(&s.shapes, id, s.epoch);
-    }
-  }
-  for (int32_t id : s.shapes.ids) {
-    s.shapes.cost[static_cast<size_t>(id)] =
-        cost_model_.SubplanCost(*shapes_[static_cast<size_t>(id)], s.layout);
-    for (int32_t t : shape_terms_[static_cast<size_t>(id)]) {
-      Touch(&s.terms, t, s.epoch);
-    }
-  }
-  for (int32_t t : s.terms.ids) {
-    s.terms.cost[static_cast<size_t>(t)] = TermCost(t, s.shapes.cost);
-  }
-
-  if (restore) RestoreScratchRows(objects, &s);
-
-  delta_evals_.fetch_add(1, std::memory_order_relaxed);
-  cost_model_.NoteExternalWorkloadEvaluation();
-  DBLAYOUT_OBS_COUNT("evaluator/delta_evals", 1);
-  DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted",
-                     static_cast<int64_t>(s.shapes.ids.size()));
-  // The fold comes last: with no call after it, the compiler keeps its
-  // accumulator in a register instead of spilling it around the calls above.
-  return SumTotal(s.terms.cost);
+  // Lanes past `count` fold the bound costs; their totals are dropped.
+  double lane_totals[kLanes];
+  FoldLanes(statements_, s.terms.cost.data(), lane_totals,
+            std::make_index_sequence<kLanes>());
+  std::copy_n(lane_totals, count, totals);
+  return static_cast<int64_t>(s.shapes.slots.size());
 }
 
-void LayoutEvaluator::RestoreScratchRows(const std::vector<int>& objects,
-                                         Scratch* scratch) const {
-  const int m = layout_.num_disks();
-  for (size_t k = 0; k < objects.size(); ++k) {
-    for (int j = 0; j < m; ++j) {
-      scratch->layout.set_x(
-          objects[k], j,
-          scratch->saved_rows[k * static_cast<size_t>(m) + static_cast<size_t>(j)]);
-    }
+void LayoutEvaluator::ScoreBatch(std::span<const Move> moves, Scratch* scratch,
+                                 std::span<double> totals) const {
+  DBLAYOUT_CHECK(totals.size() >= moves.size());
+  if (moves.empty()) return;
+  int64_t recosted = 0;
+  for (size_t begin = 0; begin < moves.size(); begin += kLanes) {
+    const size_t count = std::min(kLanes, moves.size() - begin);
+    recosted += ScoreLanes(moves.data() + begin, count, scratch,
+                           totals.data() + begin);
   }
+  // One shared-counter update per batch, not per candidate.
+  const auto n = static_cast<int64_t>(moves.size());
+  delta_evals_.fetch_add(n, std::memory_order_relaxed);
+  cost_model_.NoteExternalWorkloadEvaluation(n);
+  DBLAYOUT_OBS_COUNT("evaluator/delta_evals", n);
+  DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted", recosted);
 }
 
 double LayoutEvaluator::ScoreProportionalMove(const std::vector<int>& objects,
                                               const std::vector<int>& disks,
                                               Scratch* scratch) const {
-  return ScoreCore(
-      objects,
-      [&](Layout& l) {
-        for (int i : objects) l.AssignProportional(i, disks, cost_model_.fleet());
-      },
-      scratch, /*restore=*/true);
+  const Move move{&objects, &disks, nullptr};
+  double total = 0;
+  ScoreBatch({&move, 1}, scratch, {&total, 1});
+  return total;
 }
 
 double LayoutEvaluator::ScoreRowsFromMove(const std::vector<int>& objects,
                                           const Layout& rows,
                                           Scratch* scratch) const {
-  return ScoreCore(
-      objects,
-      [&](Layout& l) {
-        for (int i : objects) {
-          for (int j = 0; j < l.num_disks(); ++j) l.set_x(i, j, rows.x(i, j));
-        }
-      },
-      scratch, /*restore=*/true);
+  const Move move{&objects, nullptr, &rows};
+  double total = 0;
+  ScoreBatch({&move, 1}, scratch, {&total, 1});
+  return total;
 }
 
-template <typename ApplyFn>
-double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
-                                  const ApplyFn& apply) {
+double LayoutEvaluator::DeltaCore(const Move& move) {
   staged_valid_ = false;
-  const double total = ScoreCore(objects, apply, &staging_, /*restore=*/false);
+  double total = 0;
+  ScoreBatch({&move, 1}, &staging_, {&total, 1});
 
-  // Capture the candidate rows and total while the staging scratch still
-  // holds the applied rows, then put the scratch back in sync with the bound
-  // layout. Its shape and term overrides stay valid for Commit: only
-  // DeltaCore scores into staging_.
+  // Capture the candidate rows for Commit, then put the staging layout back
+  // in sync with the bound one. Its lane-0 shape and term overrides stay
+  // valid for Commit: only DeltaCore scores into staging_.
+  const std::vector<int>& objects = *move.objects;
   const int m = layout_.num_disks();
+  ApplyMove(move, &staging_.layout);
   staged_objects_ = objects;
   staged_rows_.resize(objects.size() * static_cast<size_t>(m));
   for (size_t k = 0; k < objects.size(); ++k) {
     for (int j = 0; j < m; ++j) {
       staged_rows_[k * static_cast<size_t>(m) + static_cast<size_t>(j)] =
           staging_.layout.x(objects[k], j);
+      staging_.layout.set_x(objects[k], j, layout_.x(objects[k], j));
     }
   }
   staged_total_ = total;
   staged_valid_ = true;
-  RestoreScratchRows(objects, &staging_);
   return total;
-}
-
-double LayoutEvaluator::DeltaForMove(int object,
-                                     const std::vector<double>& new_fractions) {
-  DBLAYOUT_CHECK(static_cast<int>(new_fractions.size()) == layout_.num_disks());
-  const std::vector<int> objects = {object};
-  return DeltaCore(objects, [&](Layout& l) {
-    for (int j = 0; j < l.num_disks(); ++j) {
-      l.set_x(object, j, new_fractions[static_cast<size_t>(j)]);
-    }
-  });
 }
 
 double LayoutEvaluator::DeltaForProportionalMove(const std::vector<int>& objects,
                                                  const std::vector<int>& disks) {
-  return DeltaCore(objects, [&](Layout& l) {
-    for (int i : objects) l.AssignProportional(i, disks, cost_model_.fleet());
-  });
+  return DeltaCore(Move{&objects, &disks, nullptr});
 }
 
 double LayoutEvaluator::DeltaForRowsFromMove(const std::vector<int>& objects,
                                              const Layout& rows) {
-  return DeltaCore(objects, [&](Layout& l) {
-    for (int i : objects) {
-      for (int j = 0; j < l.num_disks(); ++j) l.set_x(i, j, rows.x(i, j));
-    }
-  });
+  return DeltaCore(Move{&objects, nullptr, &rows});
 }
 
 void LayoutEvaluator::Commit() {
@@ -318,14 +366,10 @@ void LayoutEvaluator::Commit() {
       staging_.layout.set_x(staged_objects_[k], j, v);
     }
   }
-  for (int32_t id : staging_.shapes.ids) {
-    shape_cost_[static_cast<size_t>(id)] =
-        staging_.shapes.cost[static_cast<size_t>(id)];
-  }
-  for (int32_t t : staging_.terms.ids) {
-    term_cost_[static_cast<size_t>(t)] =
-        staging_.terms.cost[static_cast<size_t>(t)];
-  }
+  // The staged lane's re-costed entries become the bound costs, in every
+  // lane of staging_ too, so staging_ stays a scratch of the new binding.
+  Adopt(&staging_.shapes, &shape_cost_);
+  Adopt(&staging_.terms, &term_cost_);
   total_ = staged_total_;
   staged_valid_ = false;
   DBLAYOUT_OBS_COUNT("evaluator/commits", 1);

@@ -17,31 +17,46 @@
 //           left-to-right sum of its shapes' costs (StatementCost).
 //
 // A statement is then (weight, term), and the inverted index is
-// object -> shapes plus shape -> terms. Moving one object (or one
-// co-location group) re-costs only the shapes in its index entry, re-sums
-// only the terms those shapes occur in, and folds
-// total += w_Q * term_cost over the statements in workload order. Every
-// floating-point operation sees the same operands in the same order as
-// CostModel::WorkloadCost (SubplanCost is a pure function of the access
-// list, a term sums left to right from 0 exactly as StatementCost does, and
-// the fold visits statements in profile order), so a delta-scored total is
-// bit-identical to a full recomputation of the candidate — which is what
-// makes the greedy search's results independent of whether the delta path,
-// the full path, or parallel scoring produced them. CostModel stays the
-// thin ground-truth oracle: the evaluator calls it once per shape and is
-// DCHECK-audited against a from-scratch recomputation
-// (InvariantAuditor::AuditWorkloadTotal) after every committed move.
+// object -> shapes plus shape -> terms.
 //
-// Thread model: Score* methods are const, touch shared state only read-only,
-// and confine all mutation to a caller-provided Scratch — one Scratch per
-// worker makes concurrent scoring of disjoint candidates race-free. The
-// staged Delta*/Commit/Revert mutation API is single-threaded.
+// Every candidate is scored by one kernel, kLanes candidates at a time in
+// one Scratch. Lane by lane, a candidate applies its rows, re-costs only
+// the shapes in its objects' index entries into its own column of a
+// lane-interleaved shape table (cost[shape * kLanes + lane]), re-sums only
+// the terms those shapes occur in into its column of the term table, and
+// puts its rows back. One pass over the statements then runs kLanes
+// independent chains total[lane] += w_Q * cost[term * kLanes + lane], so the
+// add latency of the ordered fold is paid once per batch instead of once per
+// candidate. Each lane performs exactly the operations of
+// CostModel::WorkloadCost on its candidate, in the same order: SubplanCost
+// is a pure function of the access list and the lane's rows, a term sums
+// its shapes left to right from 0 exactly as StatementCost does, and the
+// lane's chain visits the statements in profile order. Lanes share no
+// arithmetic — a lane never reads another lane's column, and a lane with no
+// candidate folds the bound costs and is dropped — so a total does not
+// depend on its lane position, on its batch neighbours, or on the batch
+// size, and is bit-identical to a full recomputation of the candidate. That
+// is what makes the greedy search's results independent of the thread
+// count and of which path scored a candidate. The staged Delta*/Commit path
+// is a one-lane batch through the same kernel; only Bind sums one column
+// with SumTotal. CostModel stays the thin ground-truth oracle: the
+// evaluator calls it once per shape and is DCHECK-audited against a
+// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal) after
+// every Bind and committed move.
+//
+// Thread model: ScoreBatch and the one-move Score* wrappers are const, touch
+// shared state only read-only, and confine all mutation to a
+// caller-provided Scratch — one Scratch per worker makes concurrent scoring
+// of disjoint batches race-free. The staged Delta*/Commit/Revert mutation
+// API is single-threaded.
 
 #ifndef DBLAYOUT_LAYOUT_EVALUATOR_H_
 #define DBLAYOUT_LAYOUT_EVALUATOR_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "layout/cost_model.h"
@@ -56,18 +71,26 @@ namespace dblayout {
 
 class LayoutEvaluator {
  public:
+  /// Candidates scored per pass of the kernel: the number of independent
+  /// fold chains over the statements. Chosen with bench_eval: 4, 8 and 16
+  /// lanes priced an APB-800 candidate within noise of each other; 8 keeps
+  /// its accumulators in registers on the baseline ISA and pads less than
+  /// 16 on partial batches and one-lane calls.
+  static constexpr size_t kLanes = 8;
+
   /// Binds to one (profile, cost model) pair. Both must outlive the
   /// evaluator; the profile's statement/sub-plan structure must not change.
   LayoutEvaluator(const WorkloadProfile& profile, const CostModel& cost_model);
 
-  /// Candidate costs for one intern table (shapes or terms): a copy of the
-  /// bound costs with the last score's re-costed entries written over it,
-  /// so the statement fold reads one array without a per-entry branch. The
-  /// next score on the same Scratch puts the bound costs back first.
+  /// Candidate costs for one intern table (shapes or terms), lane-interleaved:
+  /// cost[id * kLanes + lane] holds id's cost in `lane` of the last score,
+  /// and the bound cost wherever that lane did not override it, so the
+  /// statement fold reads one array without a per-entry branch. The next
+  /// score on the same Scratch puts the bound costs back first.
   struct Overrides {
     std::vector<double> cost;
-    std::vector<int64_t> stamp;  ///< epoch that last overrode each id
-    std::vector<int32_t> ids;    ///< ids overridden this epoch, first-touch order
+    std::vector<int64_t> stamp;  ///< lane epoch that last overrode each id
+    std::vector<size_t> slots;   ///< id * kLanes + lane overridden, lane by lane
   };
 
   /// Per-worker scoring state: a private copy of the bound layout plus
@@ -77,8 +100,18 @@ class LayoutEvaluator {
     Layout layout;
     Overrides shapes;
     Overrides terms;
-    int64_t epoch = 0;
-    std::vector<double> saved_rows;  ///< row backup while scoring
+    int64_t epoch = 0;  ///< advances once per scored lane
+  };
+
+  /// One candidate: the bound layout with every object of `objects`
+  /// re-assigned — to its row in `rows` when that is set (migration toward
+  /// a target layout), else proportionally across `disks`
+  /// (Layout::AssignProportional arithmetic, bit-identical). The pointees
+  /// must outlive the call that scores the move.
+  struct Move {
+    const std::vector<int>* objects = nullptr;
+    const std::vector<int>* disks = nullptr;
+    const Layout* rows = nullptr;
   };
 
   /// Full recomputation: copies `layout`, re-costs every shape through the
@@ -104,30 +137,32 @@ class LayoutEvaluator {
   Scratch MakeScratch() const;
 
   // -- Thread-safe candidate scoring -----------------------------------------
-  // Pure w.r.t. the evaluator: the candidate is "the bound layout with every
-  // object of `objects` re-assigned", applied inside `scratch` and undone
-  // before returning. Each call counts one (delta) workload evaluation.
+  // Pure w.r.t. the evaluator: each move is applied inside `scratch` and
+  // undone before returning.
 
-  /// Candidate rows: every object of `objects` assigned proportionally
-  /// across `disks` (Layout::AssignProportional arithmetic, bit-identical).
+  /// Scores every move of `moves`, kLanes per kernel pass, into the same
+  /// index of `totals` (which must be at least as long). Each total is
+  /// bit-identical to CostModel::WorkloadCost of the materialized candidate,
+  /// whatever the batch holds. Counts moves.size() (delta) workload
+  /// evaluations, recorded once per call.
+  void ScoreBatch(std::span<const Move> moves, Scratch* scratch,
+                  std::span<double> totals) const;
+
+  /// One-move batch: every object of `objects` assigned proportionally
+  /// across `disks`.
   double ScoreProportionalMove(const std::vector<int>& objects,
                                const std::vector<int>& disks,
                                Scratch* scratch) const;
 
-  /// Candidate rows: every object of `objects` takes its row from `rows`
-  /// (used by migration toward a target layout).
+  /// One-move batch: every object of `objects` takes its row from `rows`.
   double ScoreRowsFromMove(const std::vector<int>& objects, const Layout& rows,
                            Scratch* scratch) const;
 
   // -- Staged mutation (single-threaded) --------------------------------------
 
-  /// Stages "assign `new_fractions` (a full row, one entry per disk) to
-  /// `object`" and returns the candidate total. Commit() adopts it;
-  /// Revert() (or staging another move) drops it.
-  double DeltaForMove(int object, const std::vector<double>& new_fractions);
-
   /// Stages a whole-group proportional re-assignment (the greedy search's
-  /// accepted move).
+  /// accepted move) as a one-move batch and returns the candidate total.
+  /// Commit() adopts it; Revert() (or staging another move) drops it.
   double DeltaForProportionalMove(const std::vector<int>& objects,
                                   const std::vector<int>& disks);
 
@@ -174,27 +209,24 @@ class LayoutEvaluator {
     int32_t term = 0;
   };
 
-  /// Applies rows via `apply`, re-costs the affected shapes and re-sums the
-  /// affected terms into `scratch`, and returns the candidate total folded
-  /// in WorkloadCost order. When `restore` is true, the scratch layout is
-  /// put back before returning; the staging path passes false so it can
-  /// capture the applied rows first.
-  template <typename ApplyFn>
-  double ScoreCore(const std::vector<int>& objects, const ApplyFn& apply,
-                   Scratch* scratch, bool restore) const;
+  /// The kernel: scores moves[0, count) (1 <= count <= kLanes) into
+  /// totals[0, count) and returns the shapes re-costed. The lanes' shape and
+  /// term overrides stay in `scratch` until its next score, so the staging
+  /// path can Commit lane 0.
+  int64_t ScoreLanes(const Move* moves, size_t count, Scratch* scratch,
+                     double* totals) const;
 
-  /// Puts `scratch`'s rows for `objects` back from its saved_rows backup.
-  void RestoreScratchRows(const std::vector<int>& objects, Scratch* scratch) const;
+  /// Writes `move`'s candidate rows into `layout`.
+  void ApplyMove(const Move& move, Layout* layout) const;
 
-  /// Shared staging path: score without restore, capture the rows and total
-  /// into the staged_* fields, re-sync the staging scratch. The re-costed
-  /// shapes and terms stay in staging_'s overrides until Commit reads them.
-  template <typename ApplyFn>
-  double DeltaCore(const std::vector<int>& objects, const ApplyFn& apply);
+  /// Shared staging path: scores `move` as a one-move batch in staging_ and
+  /// captures its rows and total into the staged_* fields.
+  double DeltaCore(const Move& move);
 
   /// Cost of `term`: its shapes' costs summed left to right from 0, exactly
-  /// as CostModel::StatementCost sums.
-  double TermCost(int32_t term, const std::vector<double>& shape_costs) const;
+  /// as CostModel::StatementCost sums. Shape s's cost is
+  /// shape_costs[s * stride].
+  double TermCost(int32_t term, const double* shape_costs, size_t stride) const;
 
   /// Total over `term_costs`, folded over the statements in WorkloadCost's
   /// exact association order.
@@ -223,7 +255,7 @@ class LayoutEvaluator {
   bool bound_ = false;              ///< Bind() has been called
 
   // Staged move (Delta* -> Commit/Revert).
-  mutable Scratch staging_;
+  Scratch staging_;
   bool staged_valid_ = false;
   std::vector<int> staged_objects_;
   std::vector<double> staged_rows_;  ///< |objects| x m, row-major

@@ -1,6 +1,7 @@
 #include "layout/search.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -260,16 +261,17 @@ std::vector<std::vector<int>> ObjectGroups(size_t num_objects,
 }  // namespace
 
 /// Wall-clock deadline of one Run/RunFrom invocation. Checked at iteration
-/// and candidate granularity: a candidate evaluation is the search's atomic
-/// unit of work, so expiry is detected within one cost-model call of the
-/// budget without slicing an accepted move in half (every layout the search
-/// holds between checks is complete and valid).
+/// and scoring-batch granularity: a batch of LayoutEvaluator::kLanes
+/// candidate evaluations is the search's atomic unit of work, so expiry is
+/// detected within one batch of the budget without slicing an accepted move
+/// in half (every layout the search holds between checks is complete and
+/// valid).
 struct TsGreedySearch::Deadline {
   std::chrono::steady_clock::time_point at{};
   bool active = false;
   /// Cooperative cancellation flag (SearchOptions::cancel_requested); checked
   /// wherever the wall-clock deadline is, so SIGINT/SIGTERM interrupts the
-  /// search at candidate granularity with the same best-so-far contract.
+  /// search at batch granularity with the same best-so-far contract.
   const std::atomic<bool>* cancel = nullptr;
 
   static Deadline FromBudgetMs(double budget_ms,
@@ -290,24 +292,29 @@ struct TsGreedySearch::Deadline {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       return true;
     }
-    // dblayout-check(determinism-taint): deadline probe for the contractual search budget; checked only at candidate granularity so a timed-out run still returns a valid best-so-far
+    // dblayout-check(determinism-taint): deadline probe for the contractual search budget; checked only at batch granularity so a timed-out run still returns a valid best-so-far
     return active && std::chrono::steady_clock::now() >= at;
   }
 };
 
 size_t TsGreedySearch::ScoreCandidates(const LayoutEvaluator& evaluator,
                                        int iter, size_t n,
-                                       const CandidateScorer& score,
+                                       const CandidateMove& move,
                                        const Deadline& deadline,
                                        std::vector<double>* costs,
                                        bool* timed_out) const {
   obs::EventJournal* const journal = options_.journal;
   const bool journal_wall = journal != nullptr && journal->wall_clock();
-  // Worker ids stay below min(parallelism, n); each worker scores in its
-  // own scratch.
+  // Fixed batches [kBatch * b, kBatch * b + kBatch): the evaluator scores
+  // one batch per kernel pass. The batching depends only on n, never on the
+  // thread count, and a total never depends on its batch anyway.
+  static constexpr size_t kBatch = LayoutEvaluator::kLanes;
+  const size_t batches = (n + kBatch - 1) / kBatch;
+  // Worker ids stay below min(parallelism, batches); each worker scores in
+  // its own scratch.
   const size_t workers = std::min(
       static_cast<size_t>(ThreadPool::SharedParallelism(options_.num_threads)),
-      n);
+      batches);
   std::vector<LayoutEvaluator::Scratch> scratches(workers);
   for (auto& s : scratches) s = evaluator.MakeScratch();
   // Per-worker journal buffers: the scoring body never takes the journal's
@@ -318,39 +325,52 @@ size_t TsGreedySearch::ScoreCandidates(const LayoutEvaluator& evaluator,
                                                                   : 0);
   costs->assign(n, 0.0);
   // Not vector<bool>: workers write neighbouring slots concurrently.
-  std::vector<uint8_t> skipped(n, 0);
+  std::vector<uint8_t> skipped(batches, 0);
   ThreadPool::SharedParallelFor(
-      static_cast<int64_t>(n), options_.num_threads,
-      [&score, &deadline, &scratches, &shards, &skipped, costs, journal_wall,
-       iter](int64_t i, int worker) {
-        const size_t idx = static_cast<size_t>(i);
-        // Candidate-granularity deadline check: the caller's layout is
-        // valid, so stopping mid-iteration still returns a usable
-        // best-so-far (the improvement found among the candidates before
-        // the first skipped one, if any, is accepted by the caller's fold).
+      static_cast<int64_t>(batches), options_.num_threads,
+      [&evaluator, &move, &deadline, &scratches, &shards, &skipped, costs, n,
+       journal_wall, iter](int64_t b, int worker) {
+        const size_t begin = static_cast<size_t>(b) * kBatch;
+        const size_t count = std::min(kBatch, n - begin);
+        // Batch-granularity deadline check: the caller's layout is valid,
+        // so stopping mid-iteration still returns a usable best-so-far (the
+        // improvement found among the candidates before the first skipped
+        // batch, if any, is accepted by the caller's fold).
         if (deadline.Expired()) {
-          skipped[idx] = 1;
+          skipped[static_cast<size_t>(b)] = 1;
           return;
         }
         const uint64_t t0 = JournalNowNs(journal_wall);
-        (*costs)[idx] = score(idx, &scratches[static_cast<size_t>(worker)]);
+        std::array<LayoutEvaluator::Move, kBatch> moves;
+        for (size_t k = 0; k < count; ++k) moves[k] = move(begin + k);
+        evaluator.ScoreBatch({moves.data(), count},
+                             &scratches[static_cast<size_t>(worker)],
+                             {costs->data() + begin, count});
         if (shards.empty()) return;
-        obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
-                                  {"cand", obs::JsonInt(i)},
-                                  {"cost", obs::JsonDouble((*costs)[idx])},
-                                  {"mode", obs::JsonString("delta")}};
-        if (journal_wall) {
-          fields.emplace_back("eval_ns", obs::JsonInt(static_cast<int64_t>(
-                                             JournalNowNs(journal_wall) - t0)));
+        // Wall-clock mode: each candidate's eval_ns is its batch's elapsed
+        // time divided by the batch's candidate count.
+        const uint64_t eval_ns =
+            journal_wall ? (JournalNowNs(journal_wall) - t0) / count : 0;
+        for (size_t idx = begin; idx < begin + count; ++idx) {
+          obs::JournalFields fields{
+              {"iter", obs::JsonInt(iter)},
+              {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
+              {"cost", obs::JsonDouble((*costs)[idx])},
+              {"mode", obs::JsonString("delta")}};
+          if (journal_wall) {
+            fields.emplace_back("eval_ns",
+                                obs::JsonInt(static_cast<int64_t>(eval_ns)));
+          }
+          shards[static_cast<size_t>(worker)].Append(
+              static_cast<int64_t>(idx), "eval", std::move(fields));
         }
-        shards[static_cast<size_t>(worker)].Append(i, "eval",
-                                                   std::move(fields));
       });
   if (journal != nullptr) journal->MergeShards(&shards);
-  // The clock and the cancel flag are monotone, so at one thread every index
+  // The clock and the cancel flag are monotone, so at one thread every batch
   // after the first skipped one is skipped too.
-  const size_t scored = static_cast<size_t>(
+  const size_t first_skipped = static_cast<size_t>(
       std::find(skipped.begin(), skipped.end(), 1) - skipped.begin());
+  const size_t scored = std::min(n, first_skipped * kBatch);
   if (scored < n) *timed_out = true;
   return scored;
 }
@@ -657,11 +677,10 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     // fixed slot, so any thread count computes the same values.
     const size_t scored = ScoreCandidates(
         evaluator, iter, cands.size(),
-        [&cands, &groups, &evaluator](size_t idx,
-                                      LayoutEvaluator::Scratch* scratch) {
+        [&cands, &groups](size_t idx) {
           const Candidate& c = cands[idx];
-          return evaluator.ScoreProportionalMove(
-              groups[static_cast<size_t>(c.group)], c.disks, scratch);
+          return LayoutEvaluator::Move{&groups[static_cast<size_t>(c.group)],
+                                       &c.disks, nullptr};
         },
         deadline, &costs, &telemetry.timed_out);
 
@@ -880,10 +899,8 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
     // objects are re-costed).
     const size_t scored = ScoreCandidates(
         evaluator, iter, steps.size(),
-        [&steps, &target, &evaluator](size_t idx,
-                                      LayoutEvaluator::Scratch* scratch) {
-          return evaluator.ScoreRowsFromMove(steps[idx].objects, target,
-                                             scratch);
+        [&steps, &target](size_t idx) {
+          return LayoutEvaluator::Move{&steps[idx].objects, nullptr, &target};
         },
         deadline, &costs, &stats->telemetry.timed_out);
 

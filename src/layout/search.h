@@ -73,7 +73,7 @@ struct SearchOptions {
   double time_budget_ms = -1.0;
   /// Cooperative cancellation (not owned; may be null). When the pointee
   /// becomes true the search stops at the next deadline-granularity check —
-  /// between candidate evaluations — and returns the best valid layout
+  /// between scoring batches — and returns the best valid layout
   /// accepted so far with SearchResult::timed_out set, exactly the
   /// time-budget-expiry contract. Wired to the process shutdown flag by
   /// dblayout_cli / dblayout_serve so SIGINT/SIGTERM mid-search still yields
@@ -81,7 +81,9 @@ struct SearchOptions {
   const std::atomic<bool>* cancel_requested = nullptr;
   /// Number of threads used to score the candidate moves of one greedy (or
   /// migration) iteration, via the process-wide shared pool
-  /// (ThreadPool::SharedParallelFor). Candidate enumeration and winner
+  /// (ThreadPool::SharedParallelFor). Threads take whole scoring batches of
+  /// LayoutEvaluator::kLanes consecutive candidates; the batches are fixed
+  /// by the candidate count alone. Candidate enumeration and winner
   /// selection stay sequential and each score lands in a fixed slot, so
   /// every value produces bit-identical results to num_threads = 1 —
   /// parallelism changes wall-clock time, never the answer.
@@ -102,9 +104,9 @@ struct SearchOptions {
   /// journal is byte-identical at any num_threads (the journal only
   /// observes; it never influences the search). One exception: when the
   /// budget expires or the search is cancelled mid-iteration at more than
-  /// one thread, a candidate past the iteration's "scored" count may carry
-  /// an "eval" line with no "decision" line (another worker scored it before
-  /// the expiry was seen).
+  /// one thread, candidates past the iteration's "scored" count — at most
+  /// one batch's worth per worker, scored before that worker saw the
+  /// expiry — may carry an "eval" line with no "decision" line.
   obs::EventJournal* journal = nullptr;
 };
 
@@ -194,20 +196,22 @@ class TsGreedySearch {
  private:
   struct Deadline;
 
-  /// Scores candidate `idx` of the current iteration in `scratch`:
-  /// LayoutEvaluator::ScoreProportionalMove or ScoreRowsFromMove.
-  using CandidateScorer =
-      std::function<double(size_t idx, LayoutEvaluator::Scratch* scratch)>;
+  /// Candidate `idx` of the current iteration as an evaluator move (a
+  /// proportional re-assignment or rows from a target layout).
+  using CandidateMove = std::function<LayoutEvaluator::Move(size_t idx)>;
 
   /// The scoring step of one greedy or migration iteration: sets
-  /// (*costs)[idx] = score(idx, scratch) for every idx in [0, n) on up to
-  /// options_.num_threads workers, each with its own scratch of `evaluator`,
-  /// and journals one "eval" line per scored candidate in candidate order.
-  /// The deadline is checked before every candidate; once expired, the
-  /// candidate is skipped. Returns the first skipped index (n if none) and
-  /// sets `*timed_out` when one was skipped.
+  /// (*costs)[idx] to the total of move(idx) for every idx in [0, n). The
+  /// candidates are cut into fixed batches [kLanes * b, kLanes * b + kLanes)
+  /// of LayoutEvaluator::kLanes, each scored by one
+  /// LayoutEvaluator::ScoreBatch on one of up to options_.num_threads
+  /// workers, each worker with its own scratch of `evaluator`; one "eval"
+  /// line per scored candidate is journaled in candidate order. The deadline
+  /// is checked before every batch; once expired, the batch is skipped.
+  /// Returns the first skipped candidate index (n if none) and sets
+  /// `*timed_out` when one was skipped.
   size_t ScoreCandidates(const LayoutEvaluator& evaluator, int iter, size_t n,
-                         const CandidateScorer& score, const Deadline& deadline,
+                         const CandidateMove& move, const Deadline& deadline,
                          std::vector<double>* costs, bool* timed_out) const;
 
   /// Both helpers share one CostModel per Run so layouts_evaluated can be

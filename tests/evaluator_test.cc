@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "common/thread_pool.h"
 #include "layout/evaluator.h"
 #include "layout/search.h"
+#include "obs/journal.h"
 #include "resilience/degraded.h"
 #include "workload/analyzer.h"
 
@@ -340,13 +343,11 @@ void ExpectRandomMovesMatchOracle(const WorkloadProfile& profile,
                 want_proportional);
       ASSERT_EQ(evaluator.ScoreRowsFromMove(objects, rows, &scratch), want_rows);
       ASSERT_EQ(evaluator.DeltaForRowsFromMove(objects, rows), want_rows);
-      std::vector<double> row(static_cast<size_t>(m));
       Layout one_row = evaluator.layout();
       for (int j = 0; j < m; ++j) {
-        row[static_cast<size_t>(j)] = rows.x(objects[0], j);
         one_row.set_x(objects[0], j, rows.x(objects[0], j));
       }
-      ASSERT_EQ(evaluator.DeltaForMove(objects[0], row),
+      ASSERT_EQ(evaluator.DeltaForRowsFromMove({objects[0]}, rows),
                 cm.WorkloadCost(profile, one_row));
       ASSERT_EQ(evaluator.DeltaForProportionalMove(objects, disks),
                 want_proportional);
@@ -378,6 +379,152 @@ TEST(EvaluatorTest, InternedScoringIsBitIdenticalToTheOracle) {
     alone.statements.push_back(
         Statement(profile.statements[i].weight, profile.statements[i].subplans));
     ExpectRandomMovesMatchOracle(alone, 100 + i);
+  }
+}
+
+/// One candidate of a scoring batch over the 4 objects of a RandomRows
+/// layout: proportional across `disks`, or rows taken from `rows`.
+struct BatchCandidate {
+  std::vector<int> objects;
+  std::vector<int> disks;
+  Layout rows;
+  bool proportional = true;
+
+  LayoutEvaluator::Move move() const {
+    return proportional ? LayoutEvaluator::Move{&objects, &disks, nullptr}
+                        : LayoutEvaluator::Move{&objects, nullptr, &rows};
+  }
+
+  /// `base` with the move applied.
+  Layout Materialize(const Layout& base, const DiskFleet& fleet) const {
+    Layout candidate = base;
+    for (int i : objects) {
+      if (proportional) {
+        candidate.AssignProportional(i, disks, fleet);
+      } else {
+        for (int j = 0; j < base.num_disks(); ++j) {
+          candidate.set_x(i, j, rows.x(i, j));
+        }
+      }
+    }
+    return candidate;
+  }
+};
+
+/// One or two random objects; proportional or rows-from with equal odds.
+BatchCandidate RandomCandidate(const DiskFleet& fleet, Rng* rng) {
+  BatchCandidate c;
+  c.objects = {static_cast<int>(rng->UniformInt(0, 3))};
+  if (rng->Bernoulli(0.3)) {
+    const int other = static_cast<int>(rng->UniformInt(0, 3));
+    if (other != c.objects[0]) c.objects.push_back(other);
+  }
+  c.proportional = rng->Bernoulli(0.5);
+  c.disks = RandomDiskSet(fleet.num_disks(), rng);
+  c.rows = RandomRows(fleet, rng);
+  return c;
+}
+
+/// Scores `batch` in one ScoreBatch call.
+std::vector<double> ScoreAll(const LayoutEvaluator& evaluator,
+                             const std::vector<BatchCandidate>& batch,
+                             LayoutEvaluator::Scratch* scratch) {
+  std::vector<LayoutEvaluator::Move> moves;
+  for (const BatchCandidate& c : batch) moves.push_back(c.move());
+  std::vector<double> totals(batch.size(), -1.0);
+  evaluator.ScoreBatch(moves, scratch, totals);
+  return totals;
+}
+
+/// Random batches of every size around the lane count: each lane's total
+/// must equal CostModel::WorkloadCost of its materialized candidate, and a
+/// staged one-lane Delta* + Commit must land on the batch's score.
+void ExpectBatchesMatchOracle(const WorkloadProfile& profile, uint64_t seed) {
+  constexpr size_t kLanes = LayoutEvaluator::kLanes;
+  DiskFleet fleet = DiskFleet::Heterogeneous(5, 0.4, 31);
+  const CostModel cm(fleet);
+  Rng rng(seed);
+  for (int instance = 0; instance < 3; ++instance) {
+    LayoutEvaluator evaluator(profile, cm);
+    evaluator.Bind(RandomRows(fleet, &rng));
+    for (size_t size : {size_t{1}, kLanes - 1, kLanes, kLanes + 1,
+                        2 * kLanes + 1}) {
+      SCOPED_TRACE(testing::Message()
+                   << "instance " << instance << " batch of " << size);
+      std::vector<BatchCandidate> batch;
+      for (size_t k = 0; k < size; ++k) {
+        batch.push_back(RandomCandidate(fleet, &rng));
+      }
+      LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+      const std::vector<double> totals = ScoreAll(evaluator, batch, &scratch);
+      for (size_t k = 0; k < size; ++k) {
+        EXPECT_EQ(totals[k], cm.WorkloadCost(profile, batch[k].Materialize(
+                                                          evaluator.layout(), fleet)))
+            << "lane " << k % kLanes << " of candidate " << k;
+      }
+      // The staging path is a one-lane batch through the same kernel.
+      const BatchCandidate& staged = batch[size / 2];
+      const double delta =
+          staged.proportional
+              ? evaluator.DeltaForProportionalMove(staged.objects, staged.disks)
+              : evaluator.DeltaForRowsFromMove(staged.objects, staged.rows);
+      ASSERT_EQ(delta, totals[size / 2]);
+      evaluator.Commit();
+      ASSERT_EQ(evaluator.TotalCost(), totals[size / 2]);
+    }
+  }
+}
+
+TEST(EvaluatorTest, BatchedScoringIsBitIdenticalPerLane) {
+  // Every lane of the statement fold must perform exactly the oracle's
+  // operations on its own candidate. Checked over the whole profile and
+  // over each statement alone, where a term's bits are the total's.
+  const WorkloadProfile profile = InternProfile();
+  ExpectBatchesMatchOracle(profile, 77);
+  for (size_t i = 0; i < profile.statements.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "statement " << i << " alone");
+    WorkloadProfile alone;
+    alone.num_objects = profile.num_objects;
+    alone.statements.push_back(
+        Statement(profile.statements[i].weight, profile.statements[i].subplans));
+    ExpectBatchesMatchOracle(alone, 300 + i);
+  }
+
+  // A candidate's total depends neither on its lane nor on its neighbours:
+  // alone, first, last, and beside a move of every object (which re-costs
+  // every shape) or a move of no object (which re-costs none).
+  constexpr size_t kLanes = LayoutEvaluator::kLanes;
+  DiskFleet fleet = DiskFleet::Heterogeneous(5, 0.4, 31);
+  const CostModel cm(fleet);
+  LayoutEvaluator evaluator(profile, cm);
+  Rng rng(5);
+  evaluator.Bind(RandomRows(fleet, &rng));
+  LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+  BatchCandidate every = RandomCandidate(fleet, &rng);
+  every.objects = {0, 1, 2, 3};
+  BatchCandidate none = RandomCandidate(fleet, &rng);
+  none.objects.clear();
+  EXPECT_EQ(ScoreAll(evaluator, {none}, &scratch)[0], evaluator.TotalCost());
+  for (int trial = 0; trial < 10; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const BatchCandidate c = RandomCandidate(fleet, &rng);
+    const double alone = ScoreAll(evaluator, {c}, &scratch)[0];
+    EXPECT_EQ(alone,
+              cm.WorkloadCost(profile, c.Materialize(evaluator.layout(), fleet)));
+    std::vector<BatchCandidate> fillers;
+    for (size_t k = 0; k + 1 < kLanes; ++k) {
+      fillers.push_back(RandomCandidate(fleet, &rng));
+    }
+    std::vector<BatchCandidate> first = {c};
+    first.insert(first.end(), fillers.begin(), fillers.end());
+    EXPECT_EQ(ScoreAll(evaluator, first, &scratch)[0], alone);
+    std::vector<BatchCandidate> last = fillers;
+    last.push_back(c);
+    EXPECT_EQ(ScoreAll(evaluator, last, &scratch)[kLanes - 1], alone);
+    EXPECT_EQ(ScoreAll(evaluator, {every, c}, &scratch)[1], alone);
+    EXPECT_EQ(ScoreAll(evaluator, {c, every}, &scratch)[0], alone);
+    EXPECT_EQ(ScoreAll(evaluator, {none, c, none}, &scratch)[1], alone);
+    EXPECT_EQ(ScoreAll(evaluator, {every, none, c}, &scratch)[2], alone);
   }
 }
 
@@ -579,6 +726,115 @@ TEST(ParallelSearchTest, ZeroBudgetIsThreadCountInvariant) {
   const SearchResult base = RunAtThreads(db, fleet, profile, rc, 1, opts);
   EXPECT_TRUE(base.timed_out);
   ExpectSameRun(base, RunAtThreads(db, fleet, profile, rc, 4, opts), 4);
+}
+
+/// `n` tables t0..t{n-1} of growing size, each joined to its successor
+/// and scanned alone: enough objects and co-accessed pairs that greedy and
+/// migration iterations enumerate more than one scoring batch.
+Database ChainDb(int n) {
+  Database db("chain");
+  for (int t = 0; t < n; ++t) {
+    Table table;
+    table.name = "t" + std::to_string(t);
+    table.row_count = 100'000 + 40'000 * t;
+    table.columns = {IntKey(table.name + "_k", table.row_count)};
+    Column pay;
+    pay.name = table.name + "_p";
+    pay.type = ColumnType::kChar;
+    pay.declared_length = 80 + 10 * t;
+    table.columns.push_back(pay);
+    table.clustered_key = {table.columns[0].name};
+    EXPECT_TRUE(db.AddTable(table).ok());
+  }
+  return db;
+}
+
+WorkloadProfile ChainProfile(const Database& db, int n) {
+  Workload wl("chain");
+  for (int t = 0; t < n; ++t) {
+    const std::string a = "t" + std::to_string(t);
+    EXPECT_TRUE(wl.Add("SELECT COUNT(*) FROM " + a, 1 + t % 3).ok());
+    if (t + 1 < n) {
+      const std::string b = "t" + std::to_string(t + 1);
+      EXPECT_TRUE(wl.Add("SELECT COUNT(*) FROM " + a + ", " + b + " WHERE " +
+                             a + "_k = " + b + "_k",
+                         2 + t % 2)
+                      .ok());
+    }
+  }
+  auto profile = AnalyzeWorkload(db, wl);
+  EXPECT_TRUE(profile.ok()) << profile.status().ToString();
+  return std::move(profile).value();
+}
+
+/// Every "iter_end" candidate count of `journal`, by search phase.
+std::map<std::string, std::vector<int64_t>> CandidateCounts(
+    const std::string& journal) {
+  std::map<std::string, std::vector<int64_t>> counts;
+  std::istringstream lines(journal);
+  std::string line;
+  std::string phase;
+  auto field = [&line](const std::string& key) {
+    const size_t at = line.find("\"" + key + "\":");
+    return at == std::string::npos ? std::string()
+                                   : line.substr(at + key.size() + 3);
+  };
+  while (std::getline(lines, line)) {
+    if (line.rfind("{\"ev\":\"search_start\"", 0) == 0) {
+      const std::string rest = field("phase");
+      phase = rest.substr(1, rest.find('"', 1) - 1);
+    } else if (line.rfind("{\"ev\":\"iter_end\"", 0) == 0) {
+      counts[phase].push_back(std::stoll(field("candidates")));
+    }
+  }
+  return counts;
+}
+
+TEST(ParallelSearchTest, BatchBoundaryIsThreadCountInvariant) {
+  // Candidates are scored in fixed batches of LayoutEvaluator::kLanes; an
+  // iteration whose candidate count is not a multiple of that ends in a
+  // partial batch. Neither the cut nor the thread count that scores the
+  // batches may show in the result or in the default-mode journal, in the
+  // greedy phase or in the movement-budget migration.
+  constexpr int kTables = 10;
+  Database db = ChainDb(kTables);
+  DiskFleet fleet = DiskFleet::Heterogeneous(5, 0.3, 42);
+  WorkloadProfile profile = ChainProfile(db, kTables);
+  const Layout current = Layout::FullStriping(kTables, fleet);
+  ResolvedConstraints rc = NoConstraints(db);
+  rc.current_layout = &current;
+  rc.max_movement_blocks = 0.5 * static_cast<double>(db.TotalBlocks());
+
+  auto run = [&](int threads, obs::EventJournal* journal) {
+    SearchOptions opts;
+    opts.journal = journal;
+    return RunAtThreads(db, fleet, profile, rc, threads, opts);
+  };
+  obs::EventJournal one_journal;
+  const SearchResult one = run(1, &one_journal);
+  EXPECT_TRUE(one.telemetry.used_incremental_migration);
+  EXPECT_GT(one.telemetry.migrate_accepted, 0);
+
+  // Both phases must have scored an iteration of more than one batch that
+  // ends in a partial batch.
+  const auto counts = CandidateCounts(one_journal.Serialize());
+  for (const char* phase : {"greedy", "migrate"}) {
+    SCOPED_TRACE(phase);
+    ASSERT_TRUE(counts.count(phase));
+    const std::vector<int64_t>& phase_counts = counts.at(phase);
+    EXPECT_TRUE(std::any_of(
+        phase_counts.begin(), phase_counts.end(), [](int64_t c) {
+          const auto lanes = static_cast<int64_t>(LayoutEvaluator::kLanes);
+          return c > lanes && c % lanes != 0;
+        }));
+  }
+
+  obs::EventJournal four_journal;
+  const SearchResult four = run(4, &four_journal);
+  ExpectSameRun(one, four, 4);
+  EXPECT_EQ(one.telemetry.migrate_considered, four.telemetry.migrate_considered);
+  EXPECT_EQ(one.telemetry.migrate_accepted, four.telemetry.migrate_accepted);
+  EXPECT_EQ(one_journal.Serialize(), four_journal.Serialize());
 }
 
 TEST(ParallelSearchTest, EvaluationAccountingIsConsistent) {
