@@ -137,7 +137,6 @@ class CondVar {
     native.release();
   }
 
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -63,20 +63,6 @@ class Rng {
     }
   }
 
-  /// Samples an index in [0, weights.size()) with probability proportional to
-  /// weights[i]. All weights must be non-negative with positive sum.
-  size_t WeightedIndex(const std::vector<double>& weights) {
-    double total = 0;
-    for (double w : weights) total += w;
-    double r = UniformDouble(0, total);
-    double acc = 0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      acc += weights[i];
-      if (r < acc) return i;
-    }
-    return weights.size() - 1;
-  }
-
   std::mt19937_64& engine() { return gen_; }
 
  private:

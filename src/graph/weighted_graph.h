@@ -28,13 +28,6 @@ class WeightedGraph {
 
   size_t num_nodes() const { return node_weight_.size(); }
 
-  /// Appends a node with the given weight, returning its index.
-  size_t AddNode(double weight = 0.0) {
-    node_weight_.push_back(weight);
-    adj_.emplace_back();
-    return node_weight_.size() - 1;
-  }
-
   /// Adds `delta` to node u's weight.
   void AddNodeWeight(size_t u, double delta) { node_weight_[u] += delta; }
   double node_weight(size_t u) const { return node_weight_[u]; }
@@ -103,13 +96,6 @@ class WeightedGraph {
         if (u < v) total += w;
       }
     }
-    return total;
-  }
-
-  /// Sum of all node weights.
-  double TotalNodeWeight() const {
-    double total = 0;
-    for (double w : node_weight_) total += w;
     return total;
   }
 

@@ -93,67 +93,19 @@ Result<Recommendation> LayoutAdvisor::RecommendFromProfile(
     merged = MergeConcurrentStreams(profile);
     objective = &merged;
   }
-  WorkloadProfile compressed;
-  if (options_.compress_workload) {
-    compressed = CompressProfile(*objective);
-    objective = &compressed;
-  }
 
   TsGreedySearch search(db_, fleet_, options_.search);
   const double search_t0 = PhaseNowMs();
   DBLAYOUT_ASSIGN_OR_RETURN(SearchResult sr, search.Run(*objective, constraints));
-  const double run_ms = PhaseNowMs() - search_t0;
-  EmitPhase(options_.search.journal, "partition", sr.partition_ms);
-  EmitPhase(options_.search.journal, "search",
-            std::max(0.0, run_ms - sr.partition_ms));
+  const double partition_ms = sr.partition_ms;
+  const double search_ms = std::max(0.0, PhaseNowMs() - search_t0 - partition_ms);
+  EmitPhase(options_.search.journal, "partition", partition_ms);
+  EmitPhase(options_.search.journal, "search", search_ms);
 
-  Recommendation rec;
-  rec.phases.partition_ms = sr.partition_ms;
-  rec.phases.search_ms = std::max(0.0, run_ms - sr.partition_ms);
-  rec.layout = std::move(sr.layout);
-  rec.estimated_cost_ms = sr.cost;
-  rec.greedy_iterations = sr.greedy_iterations;
-  rec.layouts_evaluated = sr.layouts_evaluated;
-  rec.telemetry = std::move(sr.telemetry);
-  rec.timed_out = sr.timed_out;
-  // Cache-ability of the *searched* objective: how far CompressProfile did
-  // (or could) shrink the statement set the cost model actually saw.
-  const ProfileAccessStats pstats = ComputeProfileStats(*objective);
-  rec.telemetry.statements = pstats.statements;
-  rec.telemetry.subplans = pstats.subplans;
-  rec.telemetry.distinct_signatures = pstats.distinct_signatures;
-  rec.full_striping =
-      Layout::FullStriping(static_cast<int>(db_.Objects().size()), fleet_);
-
-  // Debug-build audit: the recommendation handed to the user (and the
-  // baseline it is compared against) must satisfy every Definition 2
-  // constraint, independently of the search's own final Validate call.
-  const InvariantAuditor auditor;
-  DBLAYOUT_DCHECK_OK(auditor.AuditLayout(rec.layout, db_.ObjectSizes(), fleet_));
-  DBLAYOUT_DCHECK_OK(auditor.AuditLayoutRows(rec.full_striping));
-
-  // Reference costs go through the evaluator too: Bind is a full §5
-  // recomputation, bit-identical to CostModel::WorkloadCost, so the numbers
-  // are unchanged while the evaluation shows up in the same evaluator/
-  // cost-model accounting as the search's.
-  const double evaluate_t0 = PhaseNowMs();
-  const CostModel cost_model(fleet_);
-  LayoutEvaluator reference_eval(*objective, cost_model);
-  reference_eval.set_journal(options_.search.journal);
-  rec.full_striping_cost_ms = reference_eval.Bind(rec.full_striping);
-  if (options_.constraints.current_layout != nullptr) {
-    rec.current_cost_ms =
-        reference_eval.Bind(*options_.constraints.current_layout);
-  }
-  for (const auto& s : profile.statements) {
-    StatementImpact impact;
-    impact.sql = s.sql;
-    impact.weight = s.weight;
-    impact.cost_recommended_ms = cost_model.StatementCost(s, rec.layout);
-    impact.cost_full_striping_ms = cost_model.StatementCost(s, rec.full_striping);
-    rec.per_statement.push_back(std::move(impact));
-  }
-  rec.phases.evaluate_ms = PhaseNowMs() - evaluate_t0;
+  Recommendation rec = BuildRecommendation(
+      std::move(sr), *objective, profile, options_.constraints.current_layout);
+  rec.phases.partition_ms = partition_ms;
+  rec.phases.search_ms = search_ms;
   EmitPhase(options_.search.journal, "evaluate", rec.phases.evaluate_ms);
   return rec;
 }
@@ -181,13 +133,6 @@ Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
   DBLAYOUT_ASSIGN_OR_RETURN(ResolvedConstraints constraints,
                             ResolveConstraints(bound, db_, fleet_));
 
-  WorkloadProfile compressed;
-  const WorkloadProfile* objective = &profile;
-  if (options_.compress_workload) {
-    compressed = CompressProfile(profile);
-    objective = &compressed;
-  }
-
   // Full search, not RunFrom refinement: the running layout is usually a
   // local optimum of the greedy widening moves (full striping always is), so
   // refining from it would just return it. Run's incremental mode does the
@@ -196,34 +141,51 @@ Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
   // unconstrained target, best value per moved block first, within budget.
   TsGreedySearch search(db_, fleet_, options_.search);
   const double search_t0 = PhaseNowMs();
-  DBLAYOUT_ASSIGN_OR_RETURN(SearchResult sr, search.Run(*objective, constraints));
+  DBLAYOUT_ASSIGN_OR_RETURN(SearchResult sr, search.Run(profile, constraints));
   const double run_ms = PhaseNowMs() - search_t0;
   EmitPhase(options_.search.journal, "readvise", run_ms);
-
-  Recommendation rec;
+  Recommendation rec =
+      BuildRecommendation(std::move(sr), profile, profile, &current);
   rec.phases.search_ms = run_ms;
+  return rec;
+}
+
+Recommendation LayoutAdvisor::BuildRecommendation(
+    SearchResult sr, const WorkloadProfile& objective,
+    const WorkloadProfile& profile, const Layout* current) const {
+  Recommendation rec;
   rec.layout = std::move(sr.layout);
   rec.estimated_cost_ms = sr.cost;
   rec.greedy_iterations = sr.greedy_iterations;
   rec.layouts_evaluated = sr.layouts_evaluated;
   rec.telemetry = std::move(sr.telemetry);
   rec.timed_out = sr.timed_out;
-  const ProfileAccessStats pstats = ComputeProfileStats(*objective);
+  // Cache-ability of the *searched* objective: the statement set the cost
+  // model actually saw.
+  const ProfileAccessStats pstats = ComputeProfileStats(objective);
   rec.telemetry.statements = pstats.statements;
   rec.telemetry.subplans = pstats.subplans;
   rec.telemetry.distinct_signatures = pstats.distinct_signatures;
   rec.full_striping =
       Layout::FullStriping(static_cast<int>(db_.Objects().size()), fleet_);
 
+  // Debug-build audit: the recommendation handed to the user (and the
+  // baseline it is compared against) must satisfy every Definition 2
+  // constraint, independently of the search's own final Validate call.
   const InvariantAuditor auditor;
   DBLAYOUT_DCHECK_OK(auditor.AuditLayout(rec.layout, db_.ObjectSizes(), fleet_));
+  DBLAYOUT_DCHECK_OK(auditor.AuditLayoutRows(rec.full_striping));
 
+  // Reference costs go through the evaluator too: Bind is a full §5
+  // recomputation, bit-identical to CostModel::WorkloadCost, so the numbers
+  // are unchanged while the evaluation shows up in the same evaluator/
+  // cost-model accounting as the search's.
   const double evaluate_t0 = PhaseNowMs();
   const CostModel cost_model(fleet_);
-  LayoutEvaluator reference_eval(*objective, cost_model);
+  LayoutEvaluator reference_eval(objective, cost_model);
   reference_eval.set_journal(options_.search.journal);
   rec.full_striping_cost_ms = reference_eval.Bind(rec.full_striping);
-  rec.current_cost_ms = reference_eval.Bind(current);
+  if (current != nullptr) rec.current_cost_ms = reference_eval.Bind(*current);
   for (const auto& s : profile.statements) {
     StatementImpact impact;
     impact.sql = s.sql;

@@ -32,13 +32,6 @@ struct AdvisorOptions {
   /// statements count as co-accessed. Reported per-statement impacts still
   /// refer to the original statements.
   bool model_concurrency = false;
-  /// Collapse statements with equal access signatures before searching
-  /// (see CompressProfile). Speeds up large repetitive workloads, but is
-  /// cost-preserving only to within rounding (block counts match to 3
-  /// decimals, merged weights are summed), so costs and, rarely, the chosen
-  /// layout can differ from the uncompressed search. Off by default to
-  /// mirror the paper's setup.
-  bool compress_workload = false;
 };
 
 /// Wall-clock breakdown of one advisor run by pipeline phase (Fig. 3):
@@ -99,13 +92,6 @@ struct Recommendation {
                      full_striping_cost_ms
                : 0.0;
   }
-  /// Estimated % improvement vs the current layout (negative current cost
-  /// means no current layout was supplied).
-  double ImprovementVsCurrentPct() const {
-    return current_cost_ms > 0
-               ? 100.0 * (current_cost_ms - estimated_cost_ms) / current_cost_ms
-               : 0.0;
-  }
 };
 
 class LayoutAdvisor {
@@ -138,6 +124,17 @@ class LayoutAdvisor {
   std::string Report(const Recommendation& rec) const;
 
  private:
+  /// The tail shared by RecommendFromProfile and ReAdvise: fills a
+  /// Recommendation from `sr`, the search over `objective`, audits it, and
+  /// prices full striping and `current` (when not null) on `objective` and
+  /// every statement of `profile` under both layouts. Sets
+  /// phases.evaluate_ms; the callers set the other phases and emit their
+  /// journal phase events.
+  Recommendation BuildRecommendation(SearchResult sr,
+                                     const WorkloadProfile& objective,
+                                     const WorkloadProfile& profile,
+                                     const Layout* current) const;
+
   const Database& db_;
   const DiskFleet& fleet_;
   AdvisorOptions options_;

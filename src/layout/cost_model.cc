@@ -13,12 +13,11 @@
 // floating-point operation is rounded as written: reassociation
 // (-ffast-math, -fassociative-math) or contraction into fused multiply-adds
 // breaks delta/oracle bit identity. -ffast-math announces itself through
-// __FAST_MATH__ and is refused here. -fassociative-math alone and
-// -ffp-contract have no macro. GCC defaults to -ffp-contract=fast even
-// under -std=c++20 (CMAKE_CXX_EXTENSIONS OFF); the default build fuses
-// nothing only because the baseline x86-64 ISA has no FMA instruction. For
-// those flags, and for targets with FMA (a -march flag, or AArch64), the
-// EvaluatorTest bit-identity tests are the fence.
+// __FAST_MATH__ and is refused here. Contraction is pinned off by the root
+// CMakeLists (-ffp-contract=off for GCC and Clang), so FMA-capable targets
+// (a -march flag, or AArch64) round exactly as baseline x86-64 does.
+// -fassociative-math alone and -ffp-contract have no macro; for a build
+// that overrides them, the EvaluatorTest bit-identity tests are the fence.
 #ifdef __FAST_MATH__
 #error "reassociating floating-point math breaks delta/oracle bit identity"
 #endif

@@ -15,12 +15,11 @@
 // floating-point operation is rounded as written: reassociation
 // (-ffast-math, -fassociative-math) or contraction into fused multiply-adds
 // breaks delta/oracle bit identity. -ffast-math announces itself through
-// __FAST_MATH__ and is refused here. -fassociative-math alone and
-// -ffp-contract have no macro. GCC defaults to -ffp-contract=fast even
-// under -std=c++20 (CMAKE_CXX_EXTENSIONS OFF); the default build fuses
-// nothing only because the baseline x86-64 ISA has no FMA instruction. For
-// those flags, and for targets with FMA (a -march flag, or AArch64), the
-// EvaluatorTest bit-identity tests are the fence.
+// __FAST_MATH__ and is refused here. Contraction is pinned off by the root
+// CMakeLists (-ffp-contract=off for GCC and Clang), so FMA-capable targets
+// (a -march flag, or AArch64) round exactly as baseline x86-64 does.
+// -fassociative-math alone and -ffp-contract have no macro; for a build
+// that overrides them, the EvaluatorTest bit-identity tests are the fence.
 #ifdef __FAST_MATH__
 #error "reassociating floating-point math breaks delta/oracle bit identity"
 #endif
@@ -194,7 +193,6 @@ double LayoutEvaluator::Bind(const Layout& layout) {
   total_ = SumTotal(term_cost_);
   bound_ = true;
   staging_ = MakeScratch();
-  staged_valid_ = false;
   ++full_evals_;
   cost_model_.NoteExternalWorkloadEvaluation(1);
   DBLAYOUT_OBS_COUNT("evaluator/full_evals", 1);
@@ -236,8 +234,8 @@ int64_t LayoutEvaluator::ScoreLanes(const Move* moves, size_t count,
   DBLAYOUT_DCHECK(bound_);
   DBLAYOUT_DCHECK(count >= 1 && count <= kLanes);
   Scratch& s = *scratch;
-  // The previous score's overrides stay in place until now, so the staging
-  // path can Commit them.
+  // The previous score's overrides stay in place until now, so Apply can
+  // adopt them.
   Undo(&s.shapes, shape_cost_);
   Undo(&s.terms, term_cost_);
   const int m = layout_.num_disks();
@@ -302,83 +300,24 @@ void LayoutEvaluator::ScoreBatch(std::span<const Move> moves, Scratch* scratch,
   DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted", recosted);
 }
 
-double LayoutEvaluator::ScoreProportionalMove(const std::vector<int>& objects,
-                                              const std::vector<int>& disks,
-                                              Scratch* scratch) const {
-  const Move move{&objects, &disks, nullptr};
-  double total = 0;
-  ScoreBatch({&move, 1}, scratch, {&total, 1});
-  return total;
-}
-
-double LayoutEvaluator::ScoreRowsFromMove(const std::vector<int>& objects,
-                                          const Layout& rows,
-                                          Scratch* scratch) const {
-  const Move move{&objects, nullptr, &rows};
-  double total = 0;
-  ScoreBatch({&move, 1}, scratch, {&total, 1});
-  return total;
-}
-
-double LayoutEvaluator::DeltaCore(const Move& move) {
-  staged_valid_ = false;
+double LayoutEvaluator::Apply(const Move& move) {
   double total = 0;
   ScoreBatch({&move, 1}, &staging_, {&total, 1});
-
-  // Capture the candidate rows for Commit, then put the staging layout back
-  // in sync with the bound one. Its lane-0 shape and term overrides stay
-  // valid for Commit: only DeltaCore scores into staging_.
-  const std::vector<int>& objects = *move.objects;
-  const int m = layout_.num_disks();
+  // The kernel put staging_'s rows back; ApplyMove writes the candidate's
+  // with the kernel's own arithmetic, so they are the rows it scored.
+  ApplyMove(move, &layout_);
   ApplyMove(move, &staging_.layout);
-  staged_objects_ = objects;
-  staged_rows_.resize(objects.size() * static_cast<size_t>(m));
-  for (size_t k = 0; k < objects.size(); ++k) {
-    for (int j = 0; j < m; ++j) {
-      staged_rows_[k * static_cast<size_t>(m) + static_cast<size_t>(j)] =
-          staging_.layout.x(objects[k], j);
-      staging_.layout.set_x(objects[k], j, layout_.x(objects[k], j));
-    }
-  }
-  staged_total_ = total;
-  staged_valid_ = true;
-  return total;
-}
-
-double LayoutEvaluator::DeltaForProportionalMove(const std::vector<int>& objects,
-                                                 const std::vector<int>& disks) {
-  return DeltaCore(Move{&objects, &disks, nullptr});
-}
-
-double LayoutEvaluator::DeltaForRowsFromMove(const std::vector<int>& objects,
-                                             const Layout& rows) {
-  return DeltaCore(Move{&objects, nullptr, &rows});
-}
-
-void LayoutEvaluator::Commit() {
-  DBLAYOUT_CHECK(staged_valid_);
-  const int m = layout_.num_disks();
-  for (size_t k = 0; k < staged_objects_.size(); ++k) {
-    for (int j = 0; j < m; ++j) {
-      const double v =
-          staged_rows_[k * static_cast<size_t>(m) + static_cast<size_t>(j)];
-      layout_.set_x(staged_objects_[k], j, v);
-      staging_.layout.set_x(staged_objects_[k], j, v);
-    }
-  }
-  // The staged lane's re-costed entries become the bound costs, in every
-  // lane of staging_ too, so staging_ stays a scratch of the new binding.
+  // The lane's re-costed entries become the bound costs, in every lane of
+  // staging_ too, so staging_ stays a scratch of the new binding.
   Adopt(&staging_.shapes, &shape_cost_);
   Adopt(&staging_.terms, &term_cost_);
-  total_ = staged_total_;
-  staged_valid_ = false;
+  total_ = total;
   DBLAYOUT_OBS_COUNT("evaluator/commits", 1);
   // Full-recompute parity: the delta-maintained caches and total must match
   // a from-scratch §5 evaluation of the new layout.
   AuditParity();
+  return total_;
 }
-
-void LayoutEvaluator::Revert() { staged_valid_ = false; }
 
 void LayoutEvaluator::AuditParity() const {
 #if DBLAYOUT_DCHECK_IS_ON()

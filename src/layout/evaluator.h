@@ -37,18 +37,17 @@
 // depend on its lane position, on its batch neighbours, or on the batch
 // size, and is bit-identical to a full recomputation of the candidate. That
 // is what makes the greedy search's results independent of the thread
-// count and of which path scored a candidate. The staged Delta*/Commit path
-// is a one-lane batch through the same kernel; only Bind sums one column
-// with SumTotal. CostModel stays the thin ground-truth oracle: the
-// evaluator calls it once per shape and is DCHECK-audited against a
-// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal) after
-// every Bind and committed move.
+// count and of which call scored a candidate. Apply scores the move it
+// takes as a one-lane batch through the same kernel; only Bind sums one
+// column with SumTotal. CostModel stays the thin ground-truth oracle: the evaluator
+// calls it once per shape and is DCHECK-audited against a from-scratch
+// recomputation (InvariantAuditor::AuditWorkloadTotal) after every Bind and
+// Apply.
 //
-// Thread model: ScoreBatch and the one-move Score* wrappers are const, touch
-// shared state only read-only, and confine all mutation to a
-// caller-provided Scratch — one Scratch per worker makes concurrent scoring
-// of disjoint batches race-free. The staged Delta*/Commit/Revert mutation
-// API is single-threaded.
+// Thread model: ScoreBatch is const, touches shared state only read-only,
+// and confines all mutation to a caller-provided Scratch — one Scratch per
+// worker makes concurrent scoring of disjoint batches race-free. Bind and
+// Apply mutate the evaluator and are single-threaded.
 
 #ifndef DBLAYOUT_LAYOUT_EVALUATOR_H_
 #define DBLAYOUT_LAYOUT_EVALUATOR_H_
@@ -94,7 +93,7 @@ class LayoutEvaluator {
   };
 
   /// Per-worker scoring state: a private copy of the bound layout plus
-  /// shape and term cost overrides. Valid until the next Bind/Commit;
+  /// shape and term cost overrides. Valid until the next Bind/Apply;
   /// create fresh Scratches (MakeScratch) after either.
   struct Scratch {
     Layout layout;
@@ -148,38 +147,17 @@ class LayoutEvaluator {
   void ScoreBatch(std::span<const Move> moves, Scratch* scratch,
                   std::span<double> totals) const;
 
-  /// One-move batch: every object of `objects` assigned proportionally
-  /// across `disks`.
-  double ScoreProportionalMove(const std::vector<int>& objects,
-                               const std::vector<int>& disks,
-                               Scratch* scratch) const;
+  // -- Mutation (single-threaded) ---------------------------------------------
 
-  /// One-move batch: every object of `objects` takes its row from `rows`.
-  double ScoreRowsFromMove(const std::vector<int>& objects, const Layout& rows,
-                           Scratch* scratch) const;
+  /// Takes `move`: scores it as a one-move batch, writes its rows into the
+  /// bound layout, adopts its re-costed shape and term entries as the bound
+  /// costs, and returns the new TotalCost(), bit-identical to the score.
+  /// Counts one (delta) workload evaluation. Debug builds then audit the
+  /// total against a from-scratch recomputation
+  /// (InvariantAuditor::AuditWorkloadTotal).
+  double Apply(const Move& move);
 
-  // -- Staged mutation (single-threaded) --------------------------------------
-
-  /// Stages a whole-group proportional re-assignment (the greedy search's
-  /// accepted move) as a one-move batch and returns the candidate total.
-  /// Commit() adopts it; Revert() (or staging another move) drops it.
-  double DeltaForProportionalMove(const std::vector<int>& objects,
-                                  const std::vector<int>& disks);
-
-  /// Stages "every object of `objects` takes its row from `rows`" (the
-  /// migration step's accepted move).
-  double DeltaForRowsFromMove(const std::vector<int>& objects, const Layout& rows);
-
-  /// Adopts the staged move: writes the new rows into the bound layout,
-  /// installs the re-costed shape and term cache entries, and updates
-  /// TotalCost() to the staged total. Debug builds then audit the new total against a
-  /// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal).
-  void Commit();
-
-  /// Drops the staged move; the bound layout and caches are untouched.
-  void Revert();
-
-  /// Evaluation accounting: delta scorings (Score*/Delta*) vs full
+  /// Evaluation accounting: delta scorings (ScoreBatch/Apply) vs full
   /// recomputations (Bind). Both are also recorded in the bound CostModel's
   /// WorkloadEvaluations() so layouts_evaluated stays uniform.
   int64_t delta_evaluations() const {
@@ -211,17 +189,13 @@ class LayoutEvaluator {
 
   /// The kernel: scores moves[0, count) (1 <= count <= kLanes) into
   /// totals[0, count) and returns the shapes re-costed. The lanes' shape and
-  /// term overrides stay in `scratch` until its next score, so the staging
-  /// path can Commit lane 0.
+  /// term overrides stay in `scratch` until its next score, so Apply can
+  /// adopt lane 0's.
   int64_t ScoreLanes(const Move* moves, size_t count, Scratch* scratch,
                      double* totals) const;
 
   /// Writes `move`'s candidate rows into `layout`.
   void ApplyMove(const Move& move, Layout* layout) const;
-
-  /// Shared staging path: scores `move` as a one-move batch in staging_ and
-  /// captures its rows and total into the staged_* fields.
-  double DeltaCore(const Move& move);
 
   /// Cost of `term`: its shapes' costs summed left to right from 0, exactly
   /// as CostModel::StatementCost sums. Shape s's cost is
@@ -254,12 +228,7 @@ class LayoutEvaluator {
   double total_ = 0;
   bool bound_ = false;              ///< Bind() has been called
 
-  // Staged move (Delta* -> Commit/Revert).
-  Scratch staging_;
-  bool staged_valid_ = false;
-  std::vector<int> staged_objects_;
-  std::vector<double> staged_rows_;  ///< |objects| x m, row-major
-  double staged_total_ = 0;
+  Scratch staging_;  ///< Apply's scoring state, kept in step with layout_
 
   mutable std::atomic<int64_t> delta_evals_{0};
   int64_t full_evals_ = 0;

@@ -100,6 +100,20 @@ void PublishSearchMetrics(const SearchTelemetry& t) {
   }
 }
 
+/// Counts one infeasible candidate in `*counter` (a SearchTelemetry reject
+/// field) and journals it as a "reject" event when `journal` is set.
+void Reject(obs::EventJournal* journal, int iter, const char* move,
+            const std::vector<int>& group, const std::vector<int>& to,
+            const char* reason, int64_t* counter) {
+  ++*counter;
+  if (journal == nullptr) return;
+  journal->Append("reject", {{"iter", obs::JsonInt(iter)},
+                             {"move", obs::JsonString(move)},
+                             {"group", obs::JsonIntArray(group)},
+                             {"to", obs::JsonIntArray(to)},
+                             {"reason", obs::JsonString(reason)}});
+}
+
 /// Monotonic nanoseconds for the journal's per-candidate "eval_ns" field.
 /// Returns 0 unless the journal runs in its opt-in wall-clock mode
 /// (obs::JournalOptions::wall_clock), which deliberately trades the
@@ -597,16 +611,9 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
           if (cand_used[static_cast<size_t>(j)] >
               static_cast<double>(fleet_.disk(j).capacity_blocks) *
                   options_.capacity_margin) {
-            ++telemetry.capacity_rejected;
-            if (journal != nullptr) {
-              journal->Append("reject",
-                              {{"iter", obs::JsonInt(iter)},
-                               {"move", obs::JsonString(MoveKindName(kind))},
-                               {"group", obs::JsonIntArray(group)},
-                               {"to", obs::JsonIntArray(disk_set)},
-                               {"reason", obs::JsonString("capacity")}});
-            }
-            return;  // violates capacity
+            Reject(journal, iter, MoveKindName(kind), group, disk_set,
+                   "capacity", &telemetry.capacity_rejected);
+            return;
           }
         }
         if (constraints.max_movement_blocks >= 0 &&
@@ -614,15 +621,8 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
           const double moved = MovementWithRow(*constraints.current_layout,
                                                base, in_group, row, sizes);
           if (moved > constraints.max_movement_blocks) {
-            ++telemetry.movement_rejected;
-            if (journal != nullptr) {
-              journal->Append(
-                  "reject", {{"iter", obs::JsonInt(iter)},
-                             {"move", obs::JsonString(MoveKindName(kind))},
-                             {"group", obs::JsonIntArray(group)},
-                             {"to", obs::JsonIntArray(disk_set)},
-                             {"reason", obs::JsonString("movement_budget")}});
-            }
+            Reject(journal, iter, MoveKindName(kind), group, disk_set,
+                   "movement_budget", &telemetry.movement_rejected);
             return;
           }
         }
@@ -715,9 +715,9 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     const Candidate& best = cands[best_idx];
     const auto& group = groups[static_cast<size_t>(best.group)];
 
-    // Phase 4: commit the winner through the evaluator (delta re-cost of
-    // the affected sub-plans; debug builds audit the committed total
-    // against a from-scratch recomputation).
+    // Phase 4: apply the winner through the evaluator (delta re-cost of
+    // the affected sub-plans; debug builds audit the new total against a
+    // from-scratch recomputation).
     const std::vector<double> row = ProportionalRow(best.disks, fleet_, m);
     for (int i : group) {
       const double size = static_cast<double>(sizes[static_cast<size_t>(i)]);
@@ -726,9 +726,7 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
             (row[static_cast<size_t>(j)] - base.x(i, j)) * size;
       }
     }
-    evaluator.DeltaForProportionalMove(group, best.disks);
-    evaluator.Commit();
-    cost = evaluator.TotalCost();
+    cost = evaluator.Apply({&group, &best.disks, nullptr});
     ++stats->greedy_iterations;
     ++AcceptedSlot(telemetry, best.kind);
     telemetry.cost_trajectory.push_back(cost);
@@ -867,27 +865,13 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
                                                       candidate, sizes);
       if (constraints.max_movement_blocks >= 0 &&
           moved > constraints.max_movement_blocks) {
-        ++stats->telemetry.movement_rejected;
-        if (journal != nullptr) {
-          journal->Append("reject",
-                          {{"iter", obs::JsonInt(iter)},
-                           {"move", obs::JsonString("migrate")},
-                           {"group", obs::JsonIntArray(objects)},
-                           {"to", obs::JsonIntArray(target.DisksOf(objects[0]))},
-                           {"reason", obs::JsonString("movement_budget")}});
-        }
+        Reject(journal, iter, "migrate", objects, target.DisksOf(objects[0]),
+               "movement_budget", &stats->telemetry.movement_rejected);
         continue;
       }
       if (!candidate.Validate(sizes, fleet_).ok()) {
-        ++stats->telemetry.capacity_rejected;
-        if (journal != nullptr) {
-          journal->Append("reject",
-                          {{"iter", obs::JsonInt(iter)},
-                           {"move", obs::JsonString("migrate")},
-                           {"group", obs::JsonIntArray(objects)},
-                           {"to", obs::JsonIntArray(target.DisksOf(objects[0]))},
-                           {"reason", obs::JsonString("capacity")}});
-        }
+        Reject(journal, iter, "migrate", objects, target.DisksOf(objects[0]),
+               "capacity", &stats->telemetry.capacity_rejected);
         continue;
       }
       const double step_moved = std::max(
@@ -937,9 +921,7 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
     }
     if (best_idx == steps.size()) break;
 
-    evaluator.DeltaForRowsFromMove(steps[best_idx].objects, target);
-    evaluator.Commit();
-    cost = evaluator.TotalCost();
+    cost = evaluator.Apply({&steps[best_idx].objects, nullptr, &target});
     for (size_t gi : units[steps[best_idx].unit]) migrated[gi] = true;
     ++stats->greedy_iterations;
     ++stats->telemetry.migrate_accepted;
@@ -1140,8 +1122,7 @@ Result<SearchResult> ExhaustiveSearch(const Database& db, const DiskFleet& fleet
       return;
     }
     for (const auto& disks : group_choices[gi]) {
-      evaluator.DeltaForProportionalMove(groups[gi], disks);
-      evaluator.Commit();
+      evaluator.Apply({&groups[gi], &disks, nullptr});
       rec(gi + 1);
     }
   };

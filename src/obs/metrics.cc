@@ -128,15 +128,6 @@ double Histogram::Quantile(double q) const {
   return upper_bounds_.empty() ? 0 : upper_bounds_.back();
 }
 
-std::string Histogram::SummaryString() const {
-  return StrFormat("count=%lld sum=%s p50=%s p95=%s p99=%s",
-                   static_cast<long long>(count()),
-                   PrometheusNumber(sum()).c_str(),
-                   PrometheusNumber(Quantile(0.50)).c_str(),
-                   PrometheusNumber(Quantile(0.95)).c_str(),
-                   PrometheusNumber(Quantile(0.99)).c_str());
-}
-
 void Histogram::Reset() {
   for (size_t i = 0; i <= upper_bounds_.size(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
@@ -263,37 +254,6 @@ std::string MetricsRegistry::RenderPrometheus() const {
                               PrometheusLabelValue(v).c_str());
         }
         out += StrFormat("%s{%s} 1\n", pname.c_str(), labels.c_str());
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::string MetricsRegistry::RenderTextSummary() const {
-  MutexLock lock(mu_);
-  std::string out;
-  for (const auto& [name, e] : entries_) {
-    switch (e.info.kind) {
-      case MetricInfo::Kind::kCounter:
-        out += StrFormat("%s %lld\n", name.c_str(),
-                         static_cast<long long>(e.counter->value()));
-        break;
-      case MetricInfo::Kind::kGauge:
-        out += StrFormat("%s %s\n", name.c_str(),
-                         PrometheusNumber(e.gauge->value()).c_str());
-        break;
-      case MetricInfo::Kind::kHistogram:
-        out += StrFormat("%s %s\n", name.c_str(),
-                         e.histogram->SummaryString().c_str());
-        break;
-      case MetricInfo::Kind::kInfo: {
-        std::string labels;
-        for (const auto& [k, v] : e.labels) {
-          if (!labels.empty()) labels += ", ";
-          labels += StrFormat("%s=%s", k.c_str(), v.c_str());
-        }
-        out += StrFormat("%s [%s]\n", name.c_str(), labels.c_str());
         break;
       }
     }

@@ -80,9 +80,6 @@ class Histogram {
   /// assumed uniform inside a bucket, the overflow bucket clamps to the
   /// last finite bound, and an empty histogram reports 0.
   double Quantile(double q) const;
-  /// One-line text summary: "count=N sum=S p50=A p95=B p99=C" (quantiles in
-  /// the unit the histogram observes, typically microseconds).
-  std::string SummaryString() const;
   void Reset();
 
  private:
@@ -129,10 +126,6 @@ class MetricsRegistry {
   /// info metrics as constant-1 labeled gauges.
   /// Deterministic: metrics render in name order.
   std::string RenderPrometheus() const;
-
-  /// Flat text summary (one row per metric, name order); histogram rows
-  /// carry interpolated p50/p95/p99. For --progress output and debugging.
-  std::string RenderTextSummary() const;
 
   /// Zeroes every registered value (handles stay valid). Test isolation.
   void ResetForTest();

@@ -79,13 +79,6 @@ struct ResolvedFaultPlan {
   double max_transient_rate = 0.0;
   /// The fleet with every fault applied to its drive characteristics.
   DiskFleet degraded_fleet;
-
-  bool AnyFailed() const {
-    for (bool f : failed) {
-      if (f) return true;
-    }
-    return false;
-  }
 };
 
 /// Resolves `plan` against `fleet` (drive names case-insensitive). Fails on

@@ -109,8 +109,8 @@ TEST(AdvisorTest, CurrentLayoutImprovementReported) {
   LayoutAdvisor advisor(db, fleet, opt);
   auto rec = advisor.Recommend(JoinHeavyWorkload());
   ASSERT_TRUE(rec.ok());
-  EXPECT_GT(rec->current_cost_ms, rec->estimated_cost_ms);
-  EXPECT_GT(rec->ImprovementVsCurrentPct(), 50.0);
+  // More than a 50% improvement over the single-drive layout.
+  EXPECT_LT(rec->estimated_cost_ms, 0.5 * rec->current_cost_ms);
 }
 
 TEST(AdvisorTest, ReportMentionsKeyFacts) {

@@ -138,13 +138,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, sorted);
 }
 
-TEST(RngTest, WeightedIndexRespectsZeroWeight) {
-  Rng rng(9);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(rng.WeightedIndex({0.0, 1.0, 0.0}), 1u);
-  }
-}
-
 TEST(UnitsTest, BytesToBlocksRoundsUp) {
   EXPECT_EQ(BytesToBlocks(0), 0);
   EXPECT_EQ(BytesToBlocks(1), 1);

@@ -1,6 +1,6 @@
 // LayoutEvaluator + ThreadPool + parallel-search tests: delta-costing
-// parity against the CostModel oracle, the exactness of the shape and term
-// intern keys, staged Commit/Revert semantics, the empty-placement edge
+// parity against the CostModel oracle for ScoreBatch and Apply, the
+// exactness of the shape and term intern keys, the empty-placement edge
 // case, evaluation accounting, pool correctness, and thread-count
 // determinism of the whole search.
 
@@ -85,6 +85,14 @@ std::vector<int> RandomDiskSet(int m, Rng* rng) {
   return disks;
 }
 
+/// `evaluator`'s score of `move` alone, as a one-move batch.
+double ScoreOne(const LayoutEvaluator& evaluator, const LayoutEvaluator::Move& move,
+                LayoutEvaluator::Scratch* scratch) {
+  double total = 0;
+  evaluator.ScoreBatch({&move, 1}, scratch, {&total, 1});
+  return total;
+}
+
 TEST(EvaluatorTest, BindMatchesWorkloadCost) {
   Database db = MicroDb();
   DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 11);
@@ -102,7 +110,7 @@ TEST(EvaluatorTest, BindMatchesWorkloadCost) {
 }
 
 TEST(EvaluatorTest, DeltaAccumulatedCostMatchesFreshRecomputation) {
-  // Property test: after any random sequence of committed moves, the
+  // Property test: after any random sequence of applied moves, the
   // delta-maintained total equals a from-scratch CostModel::WorkloadCost of
   // the same layout. The evaluator's contract is bit-identity; the assert
   // uses the layout-tolerance bound the satellite requires, plus exact
@@ -120,10 +128,9 @@ TEST(EvaluatorTest, DeltaAccumulatedCostMatchesFreshRecomputation) {
     Layout start = RandomLayout(db, fleet, &rng).value();
     evaluator.Bind(start);
     for (int move = 0; move < 40; ++move) {
-      const int object = static_cast<int>(rng.UniformInt(0, n - 1));
+      const std::vector<int> objects = {static_cast<int>(rng.UniformInt(0, n - 1))};
       const std::vector<int> disks = RandomDiskSet(m, &rng);
-      evaluator.DeltaForProportionalMove({object}, disks);
-      evaluator.Commit();
+      evaluator.Apply({&objects, &disks, nullptr});
       const double fresh = cm.WorkloadCost(profile, evaluator.layout());
       ASSERT_NEAR(evaluator.TotalCost(), fresh,
                   kLayoutFractionTolerance * std::max(1.0, fresh))
@@ -148,44 +155,17 @@ TEST(EvaluatorTest, ScoreIsPureAndMatchesMaterializedCandidate) {
   LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
 
   for (int trial = 0; trial < 20; ++trial) {
-    const int object = static_cast<int>(
-        rng.UniformInt(0, static_cast<int64_t>(db.Objects().size()) - 1));
+    const std::vector<int> objects = {static_cast<int>(
+        rng.UniformInt(0, static_cast<int64_t>(db.Objects().size()) - 1))};
     const std::vector<int> disks = RandomDiskSet(fleet.num_disks(), &rng);
-    const double scored =
-        evaluator.ScoreProportionalMove({object}, disks, &scratch);
+    const double scored = ScoreOne(evaluator, {&objects, &disks, nullptr}, &scratch);
 
     Layout candidate = start;
-    candidate.AssignProportional(object, disks, fleet);
+    candidate.AssignProportional(objects[0], disks, fleet);
     EXPECT_EQ(scored, cm.WorkloadCost(profile, candidate)) << "trial " << trial;
     // Scoring must not disturb the bound state.
     EXPECT_EQ(evaluator.TotalCost(), bound);
   }
-}
-
-TEST(EvaluatorTest, RevertDropsTheStagedMove) {
-  Database db = MicroDb();
-  DiskFleet fleet = DiskFleet::Uniform(3);
-  WorkloadProfile profile = MicroProfile(db);
-  const CostModel cm(fleet);
-  LayoutEvaluator evaluator(profile, cm);
-
-  const Layout striped =
-      Layout::FullStriping(static_cast<int>(db.Objects().size()), fleet);
-  const double bound = evaluator.Bind(striped);
-
-  const double staged = evaluator.DeltaForProportionalMove({0}, {0});
-  EXPECT_NE(staged, bound);
-  evaluator.Revert();
-  EXPECT_EQ(evaluator.TotalCost(), bound);
-  for (int j = 0; j < fleet.num_disks(); ++j) {
-    EXPECT_EQ(evaluator.layout().x(0, j), striped.x(0, j));
-  }
-  // The evaluator stays consistent after a revert: a fresh stage + commit
-  // lands on the candidate cost.
-  const double restaged = evaluator.DeltaForProportionalMove({0}, {0});
-  EXPECT_EQ(restaged, staged);
-  evaluator.Commit();
-  EXPECT_EQ(evaluator.TotalCost(), staged);
 }
 
 TEST(EvaluatorTest, EmptyPlacementCostsZeroInBothPaths) {
@@ -208,8 +188,9 @@ TEST(EvaluatorTest, EmptyPlacementCostsZeroInBothPaths) {
 
   // Moving one object out of the void re-costs only its sub-plans; the
   // others remain 0 and the total stays finite and oracle-identical.
-  evaluator.DeltaForProportionalMove({0}, {0, 1});
-  evaluator.Commit();
+  const std::vector<int> objects = {0};
+  const std::vector<int> disks = {0, 1};
+  evaluator.Apply({&objects, &disks, nullptr});
   EXPECT_EQ(evaluator.TotalCost(), cm.WorkloadCost(profile, evaluator.layout()));
 }
 
@@ -223,12 +204,14 @@ TEST(EvaluatorTest, AccountingCountsEveryEvaluationOnce) {
   const int64_t before = cm.WorkloadEvaluations();
   evaluator.Bind(Layout::FullStriping(static_cast<int>(db.Objects().size()), fleet));
   LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
-  evaluator.ScoreProportionalMove({0}, {0}, &scratch);
-  evaluator.DeltaForProportionalMove({1}, {1});
-  evaluator.Commit();
+  // Object 0 onto drive 0 is scored; object 1 onto drive 1 is applied.
+  const std::vector<int> zero = {0};
+  const std::vector<int> one = {1};
+  ScoreOne(evaluator, {&zero, &zero, nullptr}, &scratch);
+  evaluator.Apply({&one, &one, nullptr});
 
   EXPECT_EQ(evaluator.full_evaluations(), 1);
-  EXPECT_EQ(evaluator.delta_evaluations(), 2);  // one score + one staged delta
+  EXPECT_EQ(evaluator.delta_evaluations(), 2);  // one ScoreBatch + one Apply
   // Every evaluator evaluation is also recorded in the shared cost model, so
   // layouts_evaluated stays uniform across full and delta paths.
   EXPECT_EQ(cm.WorkloadEvaluations() - before,
@@ -304,9 +287,9 @@ TEST(EvaluatorTest, InternTablesMergeOnlyExactRepeats) {
   EXPECT_EQ(evaluator.num_terms(), 9);
 }
 
-/// Random move sequences over `profile`: every Score*, Delta* and Commit
-/// total must equal CostModel::WorkloadCost of the materialized candidate
-/// bit for bit.
+/// Random move sequences over `profile`: every ScoreBatch and Apply total
+/// must equal CostModel::WorkloadCost of the materialized candidate bit for
+/// bit, and Apply must leave exactly the candidate's rows bound.
 void ExpectRandomMovesMatchOracle(const WorkloadProfile& profile,
                                   uint64_t seed) {
   DiskFleet fleet = DiskFleet::Heterogeneous(5, 0.4, 31);
@@ -339,25 +322,26 @@ void ExpectRandomMovesMatchOracle(const WorkloadProfile& profile,
       const double want_proportional = cm.WorkloadCost(profile, proportional);
       const double want_rows = cm.WorkloadCost(profile, from_rows);
 
-      ASSERT_EQ(evaluator.ScoreProportionalMove(objects, disks, &scratch),
-                want_proportional);
-      ASSERT_EQ(evaluator.ScoreRowsFromMove(objects, rows, &scratch), want_rows);
-      ASSERT_EQ(evaluator.DeltaForRowsFromMove(objects, rows), want_rows);
+      const LayoutEvaluator::Move by_proportion{&objects, &disks, nullptr};
+      const LayoutEvaluator::Move by_rows{&objects, nullptr, &rows};
+      ASSERT_EQ(ScoreOne(evaluator, by_proportion, &scratch), want_proportional);
+      ASSERT_EQ(ScoreOne(evaluator, by_rows, &scratch), want_rows);
+      const std::vector<int> first = {objects[0]};
       Layout one_row = evaluator.layout();
       for (int j = 0; j < m; ++j) {
         one_row.set_x(objects[0], j, rows.x(objects[0], j));
       }
-      ASSERT_EQ(evaluator.DeltaForRowsFromMove({objects[0]}, rows),
+      ASSERT_EQ(ScoreOne(evaluator, {&first, nullptr, &rows}, &scratch),
                 cm.WorkloadCost(profile, one_row));
-      ASSERT_EQ(evaluator.DeltaForProportionalMove(objects, disks),
-                want_proportional);
-      if (rng.Bernoulli(0.2)) {
-        evaluator.Revert();
-        continue;
-      }
-      evaluator.Commit();
-      ASSERT_EQ(evaluator.TotalCost(), want_proportional);
-      ASSERT_EQ(evaluator.TotalCost(), cm.WorkloadCost(profile, evaluator.layout()));
+      if (rng.Bernoulli(0.2)) continue;  // scored only
+      const bool proportional_move = rng.Bernoulli(0.5);
+      const double applied =
+          evaluator.Apply(proportional_move ? by_proportion : by_rows);
+      ASSERT_EQ(applied, proportional_move ? want_proportional : want_rows);
+      ASSERT_TRUE(evaluator.layout().ApproxEquals(
+          proportional_move ? proportional : from_rows, 0.0));
+      ASSERT_EQ(evaluator.TotalCost(), applied);
+      ASSERT_EQ(applied, cm.WorkloadCost(profile, evaluator.layout()));
       scratch = evaluator.MakeScratch();
     }
   }
@@ -437,8 +421,8 @@ std::vector<double> ScoreAll(const LayoutEvaluator& evaluator,
 }
 
 /// Random batches of every size around the lane count: each lane's total
-/// must equal CostModel::WorkloadCost of its materialized candidate, and a
-/// staged one-lane Delta* + Commit must land on the batch's score.
+/// must equal CostModel::WorkloadCost of its materialized candidate, and
+/// Apply of one of them must land on the batch's score and the oracle's.
 void ExpectBatchesMatchOracle(const WorkloadProfile& profile, uint64_t seed) {
   constexpr size_t kLanes = LayoutEvaluator::kLanes;
   DiskFleet fleet = DiskFleet::Heterogeneous(5, 0.4, 31);
@@ -462,15 +446,14 @@ void ExpectBatchesMatchOracle(const WorkloadProfile& profile, uint64_t seed) {
                                                           evaluator.layout(), fleet)))
             << "lane " << k % kLanes << " of candidate " << k;
       }
-      // The staging path is a one-lane batch through the same kernel.
-      const BatchCandidate& staged = batch[size / 2];
-      const double delta =
-          staged.proportional
-              ? evaluator.DeltaForProportionalMove(staged.objects, staged.disks)
-              : evaluator.DeltaForRowsFromMove(staged.objects, staged.rows);
-      ASSERT_EQ(delta, totals[size / 2]);
-      evaluator.Commit();
-      ASSERT_EQ(evaluator.TotalCost(), totals[size / 2]);
+      // Apply is a one-lane batch through the same kernel.
+      const BatchCandidate& taken = batch[size / 2];
+      const Layout candidate = taken.Materialize(evaluator.layout(), fleet);
+      const double applied = evaluator.Apply(taken.move());
+      ASSERT_EQ(applied, totals[size / 2]);
+      EXPECT_EQ(applied, cm.WorkloadCost(profile, candidate));
+      EXPECT_TRUE(evaluator.layout().ApproxEquals(candidate, 0.0));
+      ASSERT_EQ(evaluator.TotalCost(), applied);
     }
   }
 }

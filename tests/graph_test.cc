@@ -30,13 +30,6 @@ TEST(WeightedGraphTest, SelfLoopIgnored) {
   EXPECT_DOUBLE_EQ(g.TotalEdgeWeight(), 0);
 }
 
-TEST(WeightedGraphTest, AddNodeGrows) {
-  WeightedGraph g;
-  EXPECT_EQ(g.AddNode(3.0), 0u);
-  EXPECT_EQ(g.AddNode(), 1u);
-  EXPECT_DOUBLE_EQ(g.TotalNodeWeight(), 3.0);
-}
-
 TEST(WeightedGraphTest, TotalEdgeWeightCountsEachEdgeOnce) {
   WeightedGraph g(4);
   g.AddEdgeWeight(0, 1, 3);

@@ -180,12 +180,6 @@ TEST_F(ObsTest, HistogramQuantiles) {
   // p50 still interpolates: rank 500 of 1000 falls in the overflow bucket
   // only past the first 100 observations.
   EXPECT_EQ(h->Quantile(0.05), 5.0);
-
-  const std::string summary = h->SummaryString();
-  EXPECT_NE(summary.find("count=1000"), std::string::npos);
-  EXPECT_NE(summary.find("p50="), std::string::npos);
-  EXPECT_NE(summary.find("p95="), std::string::npos);
-  EXPECT_NE(summary.find("p99=1000"), std::string::npos);
 }
 
 TEST_F(ObsTest, InfoMetricRendering) {
@@ -211,9 +205,6 @@ TEST_F(ObsTest, InfoMetricRendering) {
   EXPECT_NE(again.find("dblayout_test_build_meta{seed=\"7\"} 1"),
             std::string::npos);
   EXPECT_EQ(again.find("git_sha"), std::string::npos);
-  // And the flat text summary shows the labels too.
-  EXPECT_NE(reg.RenderTextSummary().find("test/build_meta [seed=7]"),
-            std::string::npos);
 }
 
 TEST_F(ObsTest, PrometheusExpositionEdgeCases) {

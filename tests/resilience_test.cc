@@ -126,7 +126,7 @@ TEST(ApplyFaultPlanTest, DegradedScalingSlowsTheDrive) {
   EXPECT_DOUBLE_EQ(degraded.read_mb_s, healthy.read_mb_s * 0.5);
   EXPECT_DOUBLE_EQ(degraded.write_mb_s, healthy.write_mb_s * 0.5);
   EXPECT_DOUBLE_EQ(degraded.seek_ms, healthy.seek_ms * 2.0);
-  EXPECT_FALSE(resolved->AnyFailed());
+  EXPECT_EQ(std::count(resolved->failed.begin(), resolved->failed.end(), true), 0);
   EXPECT_DOUBLE_EQ(resolved->transient_rate[0], 0.02);
   EXPECT_DOUBLE_EQ(resolved->max_transient_rate, 0.02);
   // Untouched drives keep their healthy characteristics.
@@ -141,7 +141,7 @@ TEST(ApplyFaultPlanTest, HardFailureTransformDependsOnRaidLevel) {
     plan.faults.push_back(DriveFault{name, true});
     auto resolved = ApplyFaultPlan(fleet, plan, opts);
     ASSERT_TRUE(resolved.ok()) << name << ": " << resolved.status().ToString();
-    EXPECT_TRUE(resolved->AnyFailed());
+    EXPECT_EQ(std::count(resolved->failed.begin(), resolved->failed.end(), true), 1);
   }
   // Mirroring: reads at half rate off the surviving copy.
   FaultPlan mirror_plan;
