@@ -11,6 +11,9 @@
 //               LayoutEvaluator::kLanes fanned out over the shared pool
 // Delta totals must be bit-identical to the full recomputation (that is the
 // evaluator's contract), so the speedup column is a pure wall-clock story.
+// Every timing is one pass over the candidate set, repeated after a warm-up
+// (bench_util.h TimeRepeated) and reported as the median, with the delta
+// row's interquartile range beside it.
 // A final case runs the whole TS-GREEDY search with 1 and 8 scoring threads
 // and checks the results are identical. The bench exits 1 if any delta or
 // parallel total differs from the full one in its bit pattern (a NaN
@@ -71,10 +74,10 @@ struct CaseResult {
   size_t candidates = 0;
   int subplans = 0;
   int shapes = 0;  // distinct access lists the evaluator costs per Bind
-  double full_s = 0;
-  double delta_s = 0;
-  double par_s[2] = {0, 0};  // 2 and 8 threads
-  int64_t mismatches = 0;    // delta/parallel totals whose bits differ from full
+  RepeatedTiming full;
+  RepeatedTiming delta;
+  RepeatedTiming par[2];  // 2 and 8 threads
+  int64_t mismatches = 0;  // delta/parallel totals whose bits differ from full
 };
 
 /// Totals of `got` whose bit pattern differs from `want`'s.
@@ -90,7 +93,7 @@ int64_t BitMismatches(const std::vector<double>& want,
 }
 
 CaseResult RunCase(const Database& db, const DiskFleet& fleet,
-                   const WorkloadProfile& profile, int rounds) {
+                   const WorkloadProfile& profile) {
   const int m = fleet.num_disks();
   const int n = static_cast<int>(db.Objects().size());
   CaseResult r;
@@ -122,23 +125,18 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
   }
 
   // Full recomputation: materialize each candidate, evaluate from scratch.
-  r.full_s = TimeSeconds([&] {
-    for (int round = 0; round < rounds; ++round) {
-      for (size_t k = 0; k < cands.size(); ++k) {
-        Layout candidate = start;
-        candidate.AssignProportional(cands[k].object, cands[k].disks, fleet);
-        full_costs[k] = cm.WorkloadCost(profile, candidate);
-      }
+  r.full = TimeRepeated([&] {
+    for (size_t k = 0; k < cands.size(); ++k) {
+      Layout candidate = start;
+      candidate.AssignProportional(cands[k].object, cands[k].disks, fleet);
+      full_costs[k] = cm.WorkloadCost(profile, candidate);
     }
   });
 
   // Delta costing, single-threaded.
-  r.delta_s = TimeSeconds([&] {
-    LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
-    for (int round = 0; round < rounds; ++round) {
-      evaluator.ScoreBatch(moves, &scratch, delta_costs);
-    }
-  });
+  LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+  r.delta = TimeRepeated(
+      [&] { evaluator.ScoreBatch(moves, &scratch, delta_costs); });
   r.mismatches += BitMismatches(full_costs, delta_costs);
 
   // Parallel delta scoring across the shared pool, one batch of kLanes
@@ -151,21 +149,17 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
     std::fill(delta_costs.begin(), delta_costs.end(), 0.0);
     std::vector<LayoutEvaluator::Scratch> scratches(
         static_cast<size_t>(ThreadPool::SharedParallelism(threads)));
-    r.par_s[t] = TimeSeconds([&] {
-      for (int round = 0; round < rounds; ++round) {
-        for (auto& s : scratches) s = evaluator.MakeScratch();
-        ThreadPool::SharedParallelFor(
-            static_cast<int64_t>(batches), threads,
-            [&moves, &delta_costs, &evaluator, &scratches](int64_t b,
-                                                           int worker) {
-              const size_t begin = static_cast<size_t>(b) * kBatch;
-              const size_t count = std::min(kBatch, moves.size() - begin);
-              evaluator.ScoreBatch(
-                  std::span(moves).subspan(begin, count),
-                  &scratches[static_cast<size_t>(worker)],
-                  std::span(delta_costs).subspan(begin, count));
-            });
-      }
+    r.par[t] = TimeRepeated([&] {
+      for (auto& s : scratches) s = evaluator.MakeScratch();
+      ThreadPool::SharedParallelFor(
+          static_cast<int64_t>(batches), threads,
+          [&moves, &delta_costs, &evaluator, &scratches](int64_t b, int worker) {
+            const size_t begin = static_cast<size_t>(b) * kBatch;
+            const size_t count = std::min(kBatch, moves.size() - begin);
+            evaluator.ScoreBatch(std::span(moves).subspan(begin, count),
+                                 &scratches[static_cast<size_t>(worker)],
+                                 std::span(delta_costs).subspan(begin, count));
+          });
     });
     r.mismatches += BitMismatches(full_costs, delta_costs);
   }
@@ -202,32 +196,39 @@ int main() {
   BenchJson json("eval");
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"workload", "cands", "subplans", "shapes", "full(ms)",
-                  "delta(ms)", "delta(ns/cand)", "par2(ms)", "par8(ms)",
-                  "delta speedup", "par8 speedup", "bit mismatches"});
+                  "delta(ms)", "delta(ns/cand)", "delta IQR(ns/cand)", "runs",
+                  "par2(ms)", "par8(ms)", "delta speedup", "par8 speedup",
+                  "bit mismatches"});
 
   struct Case {
     const char* name;
     const Database* db;
     const WorkloadProfile* profile;
-    int rounds;
   };
   bool parity = true;
-  for (const Case& c : {Case{"TPCH-22", &db, &profile22, 20},
-                        Case{"Table2", &db, &table2, 20},
-                        Case{"APB-800", &apb, &profile_apb, 2}}) {
-    const CaseResult r = RunCase(*c.db, fleet, *c.profile, c.rounds);
+  for (const Case& c : {Case{"TPCH-22", &db, &profile22},
+                        Case{"Table2", &db, &table2},
+                        Case{"APB-800", &apb, &profile_apb}}) {
+    const CaseResult r = RunCase(*c.db, fleet, *c.profile);
     parity = parity && r.mismatches == 0;
-    const double delta_speedup = r.delta_s > 0 ? r.full_s / r.delta_s : 0;
-    const double par8_speedup = r.par_s[1] > 0 ? r.full_s / r.par_s[1] : 0;
-    const double delta_ns =
-        1e9 * r.delta_s / static_cast<double>(r.candidates * static_cast<size_t>(c.rounds));
+    // Medians throughout; the delta row also carries its interquartile range.
+    const double delta_speedup =
+        r.delta.median_s > 0 ? r.full.median_s / r.delta.median_s : 0;
+    const double par8_speedup =
+        r.par[1].median_s > 0 ? r.full.median_s / r.par[1].median_s : 0;
+    const double ns_per_cand = 1e9 / static_cast<double>(r.candidates);
+    const double delta_ns = ns_per_cand * r.delta.median_s;
+    const double delta_q1_ns = ns_per_cand * r.delta.q1_s;
+    const double delta_q3_ns = ns_per_cand * r.delta.q3_s;
     rows.push_back({c.name, StrFormat("%zu", r.candidates),
                     StrFormat("%d", r.subplans), StrFormat("%d", r.shapes),
-                    StrFormat("%.2f", 1e3 * r.full_s),
-                    StrFormat("%.2f", 1e3 * r.delta_s),
+                    StrFormat("%.2f", 1e3 * r.full.median_s),
+                    StrFormat("%.3f", 1e3 * r.delta.median_s),
                     StrFormat("%.0f", delta_ns),
-                    StrFormat("%.2f", 1e3 * r.par_s[0]),
-                    StrFormat("%.2f", 1e3 * r.par_s[1]),
+                    StrFormat("%.0f-%.0f", delta_q1_ns, delta_q3_ns),
+                    StrFormat("%d", r.delta.runs),
+                    StrFormat("%.3f", 1e3 * r.par[0].median_s),
+                    StrFormat("%.3f", 1e3 * r.par[1].median_s),
                     StrFormat("%.1fx", delta_speedup),
                     StrFormat("%.1fx", par8_speedup),
                     StrFormat("%lld", static_cast<long long>(r.mismatches))});
@@ -235,11 +236,14 @@ int main() {
              {{"candidates", StrFormat("%zu", r.candidates)},
               {"subplans", StrFormat("%d", r.subplans)},
               {"shapes", StrFormat("%d", r.shapes)},
-              {"full_s", StrFormat("%.6f", r.full_s)},
-              {"delta_s", StrFormat("%.6f", r.delta_s)},
+              {"full_s", StrFormat("%.6f", r.full.median_s)},
+              {"delta_s", StrFormat("%.6f", r.delta.median_s)},
+              {"delta_runs", StrFormat("%d", r.delta.runs)},
               {"delta_ns_per_cand", StrFormat("%.1f", delta_ns)},
-              {"par2_s", StrFormat("%.6f", r.par_s[0])},
-              {"par8_s", StrFormat("%.6f", r.par_s[1])},
+              {"delta_ns_per_cand_q1", StrFormat("%.1f", delta_q1_ns)},
+              {"delta_ns_per_cand_q3", StrFormat("%.1f", delta_q3_ns)},
+              {"par2_s", StrFormat("%.6f", r.par[0].median_s)},
+              {"par8_s", StrFormat("%.6f", r.par[1].median_s)},
               {"delta_speedup", StrFormat("%.2f", delta_speedup)},
               {"par8_speedup", StrFormat("%.2f", par8_speedup)},
               {"mismatches",

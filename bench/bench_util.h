@@ -4,6 +4,7 @@
 #ifndef DBLAYOUT_BENCH_BENCH_UTIL_H_
 #define DBLAYOUT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +50,40 @@ double TimeSeconds(Fn&& fn) {
   fn();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
+}
+
+/// Wall-clock distribution of repeated calls of `fn`, in seconds.
+struct RepeatedTiming {
+  double median_s = 0;
+  double q1_s = 0;  ///< first quartile
+  double q3_s = 0;  ///< third quartile
+  int runs = 0;
+};
+
+/// Times `fn` the way Hyrise's benchmark runner does: one untimed warm-up
+/// call, then timed calls until at least `min_runs` have run and
+/// `min_seconds` have been spent in them, or `max_runs` have run. Quartiles
+/// interpolate linearly between the sorted samples.
+template <typename Fn>
+RepeatedTiming TimeRepeated(Fn&& fn, int min_runs = 7, double min_seconds = 0.1,
+                            int max_runs = 1000) {
+  fn();
+  std::vector<double> samples;
+  double spent = 0;
+  while (static_cast<int>(samples.size()) < max_runs &&
+         (static_cast<int>(samples.size()) < min_runs || spent < min_seconds)) {
+    samples.push_back(TimeSeconds(fn));
+    spent += samples.back();
+  }
+  std::sort(samples.begin(), samples.end());
+  const auto quantile = [&samples](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75),
+          static_cast<int>(samples.size())};
 }
 
 inline void PrintTable(const std::string& title,

@@ -1,9 +1,6 @@
 #include "layout/evaluator.h"
 
 #include <algorithm>
-#include <bit>
-#include <map>
-#include <tuple>
 #include <utility>
 
 #include "analysis/invariant_auditor.h"
@@ -27,15 +24,6 @@
 namespace dblayout {
 
 namespace {
-
-/// Exact intern key of one access: every field of ObjectAccess, with
-/// `blocks` compared by bit pattern so values one ulp apart stay distinct.
-using AccessKey = std::tuple<int, uint64_t, bool, bool, bool>;
-
-AccessKey KeyOf(const ObjectAccess& a) {
-  return {a.object_id, std::bit_cast<uint64_t>(a.blocks), a.is_write, a.random,
-          a.read_modify_write};
-}
 
 /// Appends `id` to `list` unless it is already the last entry. Ids are
 /// visited in increasing order, so this dedups the whole list.
@@ -104,35 +92,31 @@ LayoutEvaluator::LayoutEvaluator(const WorkloadProfile& profile,
                                  const CostModel& cost_model)
     : profile_(profile), cost_model_(cost_model) {
   // Intern every sub-plan's access list as a shape and every statement's
-  // shape sequence as a term, ids in first-appearance order.
+  // shape sequence as a term (AccessKeys: ids in first-appearance order).
   size_t num_objects = profile.num_objects;
-  std::map<std::vector<AccessKey>, int32_t> shape_ids;
-  std::map<std::vector<int32_t>, int32_t> term_ids;
-  std::vector<AccessKey> key;
+  AccessKeys keys;
   std::vector<int32_t> sequence;
   term_begin_.push_back(0);
   statements_.reserve(profile.statements.size());
   for (const StatementProfile& s : profile.statements) {
     sequence.clear();
     for (const SubplanAccess& sp : s.subplans) {
-      key.clear();
-      for (const ObjectAccess& a : sp.accesses) {
-        key.push_back(KeyOf(a));
-        num_objects = std::max(num_objects, static_cast<size_t>(a.object_id) + 1);
+      const int32_t shape = keys.Shape(sp);
+      if (shape == static_cast<int32_t>(shapes_.size())) {
+        shapes_.push_back(&sp);
+        for (const ObjectAccess& a : sp.accesses) {
+          num_objects = std::max(num_objects, static_cast<size_t>(a.object_id) + 1);
+        }
       }
-      const auto shape = shape_ids.try_emplace(
-          key, static_cast<int32_t>(shapes_.size()));
-      if (shape.second) shapes_.push_back(&sp);
-      sequence.push_back(shape.first->second);
+      sequence.push_back(shape);
       ++num_subplans_;
     }
-    const auto term = term_ids.try_emplace(
-        sequence, static_cast<int32_t>(term_begin_.size() - 1));
-    if (term.second) {
+    const int32_t term = keys.Term(sequence);
+    if (term == num_terms()) {
       term_shapes_.insert(term_shapes_.end(), sequence.begin(), sequence.end());
       term_begin_.push_back(static_cast<int32_t>(term_shapes_.size()));
     }
-    statements_.push_back(WeightedTerm{s.weight, term.first->second});
+    statements_.push_back(WeightedTerm{s.weight, term});
   }
 
   // Inverted index. An object accessed twice in one shape (a self-join)

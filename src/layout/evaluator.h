@@ -8,11 +8,10 @@
 // on the sub-plan's access list and the layout rows of the objects it
 // touches. Real workloads repeat those lists heavily (APB-800: 2,398
 // sub-plans, 40 distinct access lists, 126 distinct per-statement
-// sequences), so the evaluator interns them once, at construction:
+// sequences), so the evaluator interns them once, at construction, on the
+// exact access key (AccessKeys, workload/analyzer.h):
 //
-//   shape — one distinct access list, keyed exactly by its ordered
-//           (object, bit pattern of blocks, write, random, read-modify-write)
-//           tuples; it caches one SubplanCost.
+//   shape — one distinct access list; it caches one SubplanCost.
 //   term  — one distinct per-statement sequence of shape ids; it caches the
 //           left-to-right sum of its shapes' costs (StatementCost).
 //

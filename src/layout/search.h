@@ -147,7 +147,8 @@ struct SearchTelemetry {
   /// iteration — the convergence trajectory of Fig. 9's loop.
   std::vector<double> cost_trajectory;
   /// Cache-ability of the analyzed workload (how far CompressProfile could
-  /// shrink it): statements vs. distinct sub-plan access signatures.
+  /// shrink it): statements vs. distinct statement access keys (terms of
+  /// AccessKeys, workload/analyzer.h).
   /// Filled by the advisor, which owns the profile.
   int64_t statements = 0;
   int64_t subplans = 0;

@@ -31,9 +31,10 @@ inline constexpr int kCheckpointSchemaVersion = 1;
 
 /// One buffered or profile statement, as ingested. Profile statements are
 /// the *compressed* accumulated profile's (sql, weight, stream) triplets;
-/// re-analyzing them on restore rebuilds the same compressed profile
-/// (CompressProfile keeps a representative statement per access signature,
-/// and the representative's SQL re-analyzes to the same accesses).
+/// re-analyzing them on restore rebuilds the same compressed profile (it
+/// keeps one representative per exact access key, AccessKeys, and the
+/// representative's SQL re-analyzes to the same accesses; the key itself is
+/// not stored).
 struct StatementSnapshot {
   std::string sql;
   double weight = 1.0;

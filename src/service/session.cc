@@ -234,23 +234,8 @@ Status Session::ProcessWindow() {
   // 3. Fold the window into the accumulated profile (degraded sessions
   // freeze theirs — monitoring continues, learning stops).
   if (mode_ == SessionMode::kActive) {
-    for (StatementProfile& s : window_profile.statements) {
-      StatementProfile copy;
-      copy.sql = s.sql;
-      copy.weight = s.weight;
-      copy.stream = s.stream;
-      copy.subplans = s.subplans;  // plan not needed by cost model / search
-      profile_.statements.push_back(std::move(copy));
-    }
-    profile_ = CompressProfile(profile_);
-    profile_statements_.clear();
-    profile_statements_.reserve(profile_.statements.size());
-    for (const StatementProfile& s : profile_.statements) {
-      StatementSnapshot snap;
-      snap.sql = s.sql;
-      snap.weight = s.weight;
-      snap.stream = s.stream;
-      profile_statements_.push_back(std::move(snap));
+    for (const StatementProfile& s : window_profile.statements) {
+      profile_fold_.Add(s, &profile_);
     }
     if (static_cast<int>(profile_.statements.size()) >
         std::max(1, config_.max_profile_statements)) {
@@ -372,7 +357,9 @@ SessionSnapshot Session::Snapshot() const {
   snapshot.rollbacks = rollbacks_;
   snapshot.deadline_misses = deadline_misses_;
   snapshot.degraded_reason = degraded_reason_;
-  snapshot.profile = profile_statements_;
+  for (const StatementProfile& s : profile_.statements) {
+    snapshot.profile.push_back({s.sql, s.weight, s.stream});
+  }
   snapshot.pending = pending_;
   const std::vector<std::string> names = ObjectNames(db_);
   snapshot.active_csv = active_.ToCsv(names, fleet_);
@@ -428,8 +415,8 @@ Result<Session> Session::Restore(const SessionSnapshot& snapshot,
   }
 
   // Rebuild the accumulated profile by re-analyzing the checkpointed
-  // compressed representatives — exactly cost-equivalent to the original
-  // (cost is a pure function of the access signature; see checkpoint.h).
+  // compressed representatives and folding them in like a window — exactly
+  // cost-equivalent (cost is a pure function of the access key).
   // Strict analysis: these statements planned before, so any failure here
   // means the checkpoint does not match the live schema.
   if (!snapshot.profile.empty()) {
@@ -445,8 +432,9 @@ Result<Session> Session::Restore(const SessionSnapshot& snapshot,
     }
     DBLAYOUT_ASSIGN_OR_RETURN(WorkloadProfile profile,
                               AnalyzeWorkload(db, workload));
-    session.profile_ = CompressProfile(profile);
-    session.profile_statements_ = snapshot.profile;
+    for (const StatementProfile& s : profile.statements) {
+      session.profile_fold_.Add(s, &session.profile_);
+    }
   }
   return session;
 }

@@ -5,8 +5,8 @@
 //   1. analyze the window (lenient — unplannable statements are journaled
 //      and skipped) and compute its realized cost under the active,
 //      candidate, and last-good layouts;
-//   2. fold the window into the accumulated profile (CompressProfile keeps
-//      it bounded: identical access signatures collapse exactly);
+//   2. fold the window into the accumulated profile (ProfileFold keeps it
+//      bounded: statements with the same exact access key collapse);
 //   3. re-advise incrementally (LayoutAdvisor::ReAdvise under the movement
 //      budget) when the per-object access shares drifted past threshold
 //      since the last advise, with bounded deterministic retry;
@@ -109,10 +109,9 @@ class Session {
 
   /// Pending statements of the open window, as ingested.
   std::vector<StatementSnapshot> pending_;
-  /// Accumulated compressed profile and the (sql, weight, stream) triplets
-  /// that regenerate it (the checkpointable form).
+  /// Accumulated compressed profile, each window folded in by profile_fold_.
   WorkloadProfile profile_;
-  std::vector<StatementSnapshot> profile_statements_;
+  ProfileFold profile_fold_;
 
   Layout active_;
   std::optional<Layout> candidate_;

@@ -1,8 +1,8 @@
 #include "workload/analyzer.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
-#include <set>
 
 #include "common/strutil.h"
 #include "obs/metrics.h"
@@ -144,24 +144,53 @@ WorkloadProfile MergeConcurrentStreams(const WorkloadProfile& profile) {
   return out;
 }
 
-std::string AccessSignature(const StatementProfile& statement) {
-  // Block counts are rounded to 3 decimals so float noise does not defeat
-  // matching.
-  std::string sig;
-  for (const auto& sp : statement.subplans) {
-    sig += '|';
-    for (const auto& a : sp.accesses) {
-      sig += StrFormat("%d:%.3f%c%c%c;", a.object_id, a.blocks,
-                       a.is_write ? 'w' : 'r', a.random ? '!' : '.',
-                       a.read_modify_write ? 'm' : '.');
-    }
+int32_t AccessKeys::Shape(const SubplanAccess& subplan) {
+  accesses_.clear();
+  for (const ObjectAccess& a : subplan.accesses) {
+    accesses_.emplace_back(a.object_id, std::bit_cast<uint64_t>(a.blocks),
+                           a.is_write, a.random, a.read_modify_write);
   }
-  return sig;
+  return shape_ids_.try_emplace(accesses_, num_shapes()).first->second;
+}
+
+int32_t AccessKeys::Term(const std::vector<int32_t>& shapes) {
+  return term_ids_.try_emplace(shapes, num_terms()).first->second;
+}
+
+int32_t AccessKeys::Term(const StatementProfile& statement) {
+  shapes_.clear();
+  for (const SubplanAccess& sp : statement.subplans) shapes_.push_back(Shape(sp));
+  return Term(shapes_);
+}
+
+void ProfileFold::Add(const StatementProfile& statement, WorkloadProfile* profile) {
+  if (statement.stream <= 0) {
+    const size_t term = static_cast<size_t>(keys_.Term(statement));
+    if (term < representative_.size()) {
+      profile->statements[representative_[term]].weight += statement.weight;
+      return;
+    }
+    representative_.push_back(profile->statements.size());
+  }
+  StatementProfile& copy = profile->statements.emplace_back();
+  copy.sql = statement.sql;
+  copy.weight = statement.weight;
+  copy.stream = statement.stream;
+  copy.subplans = statement.subplans;
+  if (statement.stream > 0 && statement.plan) copy.plan = ClonePlan(*statement.plan);
+}
+
+WorkloadProfile CompressProfile(const WorkloadProfile& profile) {
+  WorkloadProfile out;
+  out.num_objects = profile.num_objects;
+  ProfileFold fold;
+  for (const StatementProfile& s : profile.statements) fold.Add(s, &out);
+  return out;
 }
 
 ProfileAccessStats ComputeProfileStats(const WorkloadProfile& profile) {
   ProfileAccessStats stats;
-  std::set<std::string> signatures;
+  AccessKeys keys;
   for (const auto& s : profile.statements) {
     ++stats.statements;
     stats.subplans += static_cast<int64_t>(s.subplans.size());
@@ -169,42 +198,11 @@ ProfileAccessStats ComputeProfileStats(const WorkloadProfile& profile) {
       // Stream-tagged statements stay individual under CompressProfile.
       ++stats.distinct_signatures;
     } else {
-      signatures.insert(AccessSignature(s));
+      keys.Term(s);
     }
   }
-  stats.distinct_signatures += static_cast<int64_t>(signatures.size());
+  stats.distinct_signatures += keys.num_terms();
   return stats;
-}
-
-WorkloadProfile CompressProfile(const WorkloadProfile& profile) {
-  WorkloadProfile out;
-  out.num_objects = profile.num_objects;
-  std::map<std::string, size_t> index_of;  // signature -> index in out
-  for (const auto& s : profile.statements) {
-    if (s.stream > 0) {  // keep concurrent statements individual
-      StatementProfile copy;
-      copy.sql = s.sql;
-      copy.weight = s.weight;
-      copy.stream = s.stream;
-      copy.plan = s.plan ? ClonePlan(*s.plan) : nullptr;
-      copy.subplans = s.subplans;
-      out.statements.push_back(std::move(copy));
-      continue;
-    }
-    const std::string sig = AccessSignature(s);
-    auto it = index_of.find(sig);
-    if (it != index_of.end()) {
-      out.statements[it->second].weight += s.weight;
-      continue;
-    }
-    index_of[sig] = out.statements.size();
-    StatementProfile rep;
-    rep.sql = s.sql;
-    rep.weight = s.weight;
-    rep.subplans = s.subplans;
-    out.statements.push_back(std::move(rep));
-  }
-  return out;
 }
 
 WeightedGraph BuildAccessGraph(const WorkloadProfile& profile) {

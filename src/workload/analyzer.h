@@ -7,8 +7,10 @@
 #ifndef DBLAYOUT_WORKLOAD_ANALYZER_H_
 #define DBLAYOUT_WORKLOAD_ANALYZER_H_
 
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -75,39 +77,62 @@ std::vector<bool> ReferencedObjects(const WorkloadProfile& profile);
 /// stream already encodes repetition).
 WorkloadProfile MergeConcurrentStreams(const WorkloadProfile& profile);
 
-/// Workload compression: statements whose sub-plan access signatures are
-/// equal (same pipelines over the same objects with the same access kinds
-/// and block counts equal to 3 decimals — e.g. the hundreds of
-/// near-identical drill-down queries of APB-800) are collapsed into one
-/// statement, the first of them, carrying the summed weight. This is an
-/// approximation, not an exact invariance:
-///   - statements whose block counts differ by less than 5e-4 (and so round
-///     to the same signature) merge, and the representative's block counts
-///     stand in for all of them;
-///   - w1 * c + w2 * c is replaced by (w1 + w2) * c, which can differ in
-///     the last bits even for exact duplicates.
-/// So the cost model and access graph agree with the uncompressed workload
-/// only to within that rounding (under 5e-4 blocks per access, plus
-/// last-bit error), and a search over the compressed profile may take a
-/// different path when two candidates' costs are that close.
-/// LayoutEvaluator exploits exact repetition without this loss. Synthesized
-/// statements carry a null plan. Statements with positive stream tags are
-/// left uncompressed (they matter individually for concurrency merging).
+/// The exact access key: when two sub-plans, or two statements, are the same
+/// access pattern to the §5 cost model and the access graph. A shape is a
+/// distinct sub-plan access list, keyed on its ordered (object id, bit
+/// pattern of blocks, write, random, read-modify-write) tuples, so block
+/// counts one ulp apart stay distinct; a term is a distinct statement, the
+/// ordered sequence of its sub-plans' shape ids. Ids count up from 0 in order
+/// of first appearance (a new one gets the previous count). The table stores
+/// no pointer into any profile.
+class AccessKeys {
+ public:
+  /// Shape id of `subplan`'s access list.
+  int32_t Shape(const SubplanAccess& subplan);
+  /// Term id of the shape-id sequence `shapes`.
+  int32_t Term(const std::vector<int32_t>& shapes);
+  /// Term id of `statement`: the shapes of its sub-plans, in order.
+  int32_t Term(const StatementProfile& statement);
+
+  int32_t num_shapes() const { return static_cast<int32_t>(shape_ids_.size()); }
+  int32_t num_terms() const { return static_cast<int32_t>(term_ids_.size()); }
+
+ private:
+  using Access = std::tuple<int, uint64_t, bool, bool, bool>;
+  std::map<std::vector<Access>, int32_t> shape_ids_;
+  std::map<std::vector<int32_t>, int32_t> term_ids_;
+  std::vector<Access> accesses_;  ///< reused key buffers
+  std::vector<int32_t> shapes_;
+};
+
+/// CompressProfile one statement at a time; the service folds each window
+/// into its accumulated profile with it.
+class ProfileFold {
+ public:
+  /// Folds `statement` into `profile`, which must hold exactly the
+  /// statements this fold has produced.
+  void Add(const StatementProfile& statement, WorkloadProfile* profile);
+
+ private:
+  AccessKeys keys_;
+  std::vector<size_t> representative_;  ///< term -> index in the profile
+};
+
+/// Workload compression: statements with the same term (AccessKeys) collapse
+/// into one statement, the first of them, without its plan and carrying the
+/// summed weight (e.g. the hundreds of repeated drill-down queries of
+/// APB-800). The cost model and access graph see exactly the same accesses;
+/// only w1 * c + w2 * c becomes (w1 + w2) * c, which can differ in the last
+/// bits, so a search over the compressed profile may take a different path
+/// when two candidates' costs are that close. Statements with positive
+/// stream tags are kept individual, plan included (they matter individually
+/// for concurrency merging).
 WorkloadProfile CompressProfile(const WorkloadProfile& profile);
 
-/// Stable text encoding of a statement's sub-plan access structure: the
-/// object ids, block counts (printed to 3 decimals, so counts less than
-/// 5e-4 apart can share a signature), and access kinds of every pipeline.
-/// Statements with equal signatures are what CompressProfile collapses;
-/// they are indistinguishable to the cost model and access graph only up
-/// to that rounding. The encoding is part of the checkpoint contract and
-/// must not change.
-std::string AccessSignature(const StatementProfile& statement);
-
 /// Cache-ability summary of an analyzed workload: how far CompressProfile
-/// could shrink it. distinct_signatures counts unique AccessSignature values
-/// among compressible (stream <= 0) statements, plus the stream-tagged
-/// statements that are kept individual.
+/// could shrink it. distinct_signatures counts the distinct terms
+/// (AccessKeys) among compressible (stream <= 0) statements, plus the
+/// stream-tagged statements that are kept individual.
 struct ProfileAccessStats {
   int64_t statements = 0;
   int64_t subplans = 0;

@@ -1,9 +1,11 @@
-// Tests for workload compression (CompressProfile): cost-model and
-// access-graph invariance to within its signature rounding, the merge that
-// rounding causes, weight accumulation, and its interaction with
-// concurrency streams.
+// Tests for workload compression (CompressProfile) and the exact access key
+// it merges on (AccessKeys): cost-model and access-graph invariance, weight
+// accumulation, key identity, and the interaction with concurrency streams.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "benchdata/apb.h"
 #include "benchdata/tpch.h"
@@ -68,42 +70,95 @@ TEST(CompressionTest, CostModelExactlyInvariant) {
               1e-6 * cm.WorkloadCost(small, other));
 }
 
-TEST(CompressionTest, BlockCountsUnderSignatureRoundingMerge) {
-  // AccessSignature prints block counts to 3 decimals, so two statements
-  // whose counts differ by less than 5e-4 merge: the first one's accesses
-  // stand in for both, and the compressed cost moves off the exact cost.
-  auto statement = [](double blocks) {
-    ObjectAccess fact;
-    fact.object_id = 0;
-    fact.blocks = blocks;
-    ObjectAccess dim;
-    dim.object_id = 1;
-    dim.blocks = 250;
-    StatementProfile s;
-    s.subplans.push_back(SubplanAccess{{fact, dim}});
-    return s;
-  };
+/// One statement of a single sub-plan: object 0 (`blocks`) with object 1.
+StatementProfile FactDimStatement(double blocks) {
+  ObjectAccess fact;
+  fact.object_id = 0;
+  fact.blocks = blocks;
+  ObjectAccess dim;
+  dim.object_id = 1;
+  dim.blocks = 250;
+  StatementProfile s;
+  s.subplans.push_back(SubplanAccess{{fact, dim}});
+  return s;
+}
+
+TEST(CompressionTest, NearlyEqualBlockCountsStaySeparate) {
+  // The key compares block counts exactly, so counts 2e-4 apart do not
+  // merge and the compressed cost is the exact cost.
   WorkloadProfile profile;
   profile.num_objects = 2;
-  profile.statements.push_back(statement(1000.0));
-  profile.statements.push_back(statement(1000.0002));
-  EXPECT_EQ(AccessSignature(profile.statements[0]),
-            AccessSignature(profile.statements[1]));
+  profile.statements.push_back(FactDimStatement(1000.0));
+  profile.statements.push_back(FactDimStatement(1000.0002));
 
   const WorkloadProfile small = CompressProfile(profile);
-  ASSERT_EQ(small.statements.size(), 1u);
-  EXPECT_EQ(small.statements[0].weight, 2);
+  ASSERT_EQ(small.statements.size(), 2u);
   EXPECT_EQ(small.statements[0].subplans[0].accesses[0].blocks, 1000.0);
+  EXPECT_EQ(small.statements[1].subplans[0].accesses[0].blocks, 1000.0002);
 
   const DiskFleet fleet = DiskFleet::Uniform(2);
   Layout layout(2, fleet.num_disks());
   layout.AssignProportional(0, {0, 1}, fleet);
   layout.AssignProportional(1, {1}, fleet);
   const CostModel cm(fleet);
-  const double exact = cm.WorkloadCost(profile, layout);
-  const double compressed = cm.WorkloadCost(small, layout);
-  EXPECT_NE(compressed, exact);
-  EXPECT_NEAR(compressed, exact, 1e-6 * exact);
+  EXPECT_EQ(cm.WorkloadCost(small, layout), cm.WorkloadCost(profile, layout));
+}
+
+TEST(AccessKeysTest, IdsFollowFirstAppearance) {
+  AccessKeys keys;
+  const StatementProfile a = FactDimStatement(10);
+  const StatementProfile b = FactDimStatement(20);
+  EXPECT_EQ(keys.Shape(b.subplans[0]), 0);
+  EXPECT_EQ(keys.Shape(a.subplans[0]), 1);
+  EXPECT_EQ(keys.Shape(b.subplans[0]), 0);
+  EXPECT_EQ(keys.num_shapes(), 2);
+
+  EXPECT_EQ(keys.Term(a), 0);  // shapes {1}
+  EXPECT_EQ(keys.Term(std::vector<int32_t>{0, 0}), 1);
+  EXPECT_EQ(keys.Term(b), 2);  // shapes {0}
+  EXPECT_EQ(keys.Term(a), 0);
+  EXPECT_EQ(keys.num_terms(), 3);
+  EXPECT_EQ(keys.num_shapes(), 2);
+}
+
+TEST(AccessKeysTest, BlocksOneUlpApartAreDistinctShapes) {
+  AccessKeys keys;
+  const double blocks = 1000.0;
+  const StatementProfile a = FactDimStatement(blocks);
+  const StatementProfile b =
+      FactDimStatement(std::nextafter(blocks, std::numeric_limits<double>::max()));
+  EXPECT_EQ(keys.Shape(a.subplans[0]), 0);
+  EXPECT_EQ(keys.Shape(b.subplans[0]), 1);
+}
+
+TEST(AccessKeysTest, EachAccessFlagSeparatesShapes) {
+  AccessKeys keys;
+  const SubplanAccess plain = FactDimStatement(100).subplans[0];
+  EXPECT_EQ(keys.Shape(plain), 0);
+  SubplanAccess write = plain;
+  write.accesses[0].is_write = true;
+  SubplanAccess random = plain;
+  random.accesses[0].random = true;
+  SubplanAccess rmw = plain;
+  rmw.accesses[0].read_modify_write = true;
+  SubplanAccess other_object = plain;
+  other_object.accesses[1].object_id = 2;
+  EXPECT_EQ(keys.Shape(write), 1);
+  EXPECT_EQ(keys.Shape(random), 2);
+  EXPECT_EQ(keys.Shape(rmw), 3);
+  EXPECT_EQ(keys.Shape(other_object), 4);
+  EXPECT_EQ(keys.Shape(plain), 0);
+}
+
+TEST(AccessKeysTest, SameShapesInAnotherOrderAreADistinctTerm) {
+  AccessKeys keys;
+  StatementProfile ab = FactDimStatement(10);
+  ab.subplans.push_back(FactDimStatement(20).subplans[0]);
+  StatementProfile ba;
+  ba.subplans = {ab.subplans[1], ab.subplans[0]};
+  EXPECT_EQ(keys.Term(ab), 0);
+  EXPECT_EQ(keys.Term(ba), 1);
+  EXPECT_EQ(keys.num_shapes(), 2);
 }
 
 TEST(CompressionTest, AccessGraphExactlyInvariant) {

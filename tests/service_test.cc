@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "lint/lint.h"
+#include "service/checkpoint.h"
 #include "service/config.h"
 #include "service/guardrail.h"
 #include "service/service_lint.h"
@@ -245,7 +249,7 @@ TEST(SessionTest, ProfileBudgetDegrades) {
   config.max_profile_statements = 1;
   Session session(1, db, fleet, config, nullptr);
 
-  // Two distinct access signatures cannot compress below two statements.
+  // Two distinct access keys cannot compress below two statements.
   ASSERT_TRUE(session.Ingest(kScanA).ok());
   ASSERT_TRUE(session.Ingest(kScanSolo).ok());
   EXPECT_EQ(session.mode(), SessionMode::kDegraded);
@@ -261,6 +265,111 @@ TEST(SessionTest, UnparsableStatementsAreSkippedNotFatal) {
   ASSERT_TRUE(session.Ingest(kJoinAB).ok());
   EXPECT_EQ(session.windows_closed(), 1);
   EXPECT_EQ(session.mode(), SessionMode::kActive);
+}
+
+/// A seeded stream over MicroDb: scans and joins with range predicates drawn
+/// from a few constants (so access keys repeat across windows) and random
+/// weights (so summed weights exercise the fold's addition order).
+std::vector<std::pair<std::string, double>> GeneratedStream(uint64_t seed,
+                                                            int count) {
+  const char* templates[] = {
+      "SELECT COUNT(*) FROM big_a WHERE big_a_k < ",
+      "SELECT COUNT(*) FROM big_a, big_b WHERE big_a_k = big_b_k AND big_b_k < ",
+      "SELECT COUNT(*) FROM solo WHERE solo_k < ",
+  };
+  const int constants[] = {1000, 40000, 250000};
+  Rng rng(seed);
+  std::vector<std::pair<std::string, double>> stream;
+  for (int i = 0; i < count; ++i) {
+    std::string sql = templates[rng.UniformInt(0, 2)];
+    sql += std::to_string(constants[rng.UniformInt(0, 2)]);
+    stream.emplace_back(std::move(sql), rng.UniformDouble(0.25, 4.0));
+  }
+  return stream;
+}
+
+std::string SerializeSession(const Session& session) {
+  ServiceSnapshot snapshot;
+  snapshot.sessions.push_back(session.Snapshot());
+  return SerializeCheckpoint(snapshot);
+}
+
+void ExpectSameSubplans(const StatementProfile& a, const StatementProfile& b) {
+  ASSERT_EQ(a.subplans.size(), b.subplans.size()) << a.sql;
+  for (size_t i = 0; i < a.subplans.size(); ++i) {
+    const auto& x = a.subplans[i].accesses;
+    const auto& y = b.subplans[i].accesses;
+    ASSERT_EQ(x.size(), y.size()) << a.sql;
+    for (size_t j = 0; j < x.size(); ++j) {
+      EXPECT_EQ(x[j].object_id, y[j].object_id);
+      EXPECT_EQ(std::bit_cast<uint64_t>(x[j].blocks),
+                std::bit_cast<uint64_t>(y[j].blocks));
+      EXPECT_EQ(x[j].is_write, y[j].is_write);
+      EXPECT_EQ(x[j].random, y[j].random);
+      EXPECT_EQ(x[j].read_modify_write, y[j].read_modify_write);
+    }
+  }
+}
+
+TEST(SessionTest, WindowFoldEqualsOneCompressAndRestoresByteIdentically) {
+  const Database db = MicroDb();
+  const DiskFleet fleet = DiskFleet::Uniform(4);
+  ServiceConfig config = MicroConfig();
+  config.window_size = 4;
+  const auto stream = GeneratedStream(17, 48);
+  const size_t cut = 28;  // seven windows, then a checkpoint
+
+  Session session(1, db, fleet, config, nullptr);
+  Workload all("all");
+  for (size_t i = 0; i < cut; ++i) {
+    ASSERT_TRUE(session.Ingest(stream[i].first, stream[i].second).ok());
+    ASSERT_TRUE(all.Add(stream[i].first, stream[i].second).ok());
+  }
+  ASSERT_EQ(session.mode(), SessionMode::kActive);
+  ASSERT_EQ(session.windows_closed(), 7);
+
+  // The window-by-window fold is one CompressProfile over every statement:
+  // same statements, order, bit-equal weights and (re-analyzed) sub-plans.
+  auto analyzed = AnalyzeWorkload(db, all);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const WorkloadProfile compressed = CompressProfile(analyzed.value());
+  const SessionSnapshot snapshot = session.Snapshot();
+  ASSERT_EQ(snapshot.profile.size(), compressed.statements.size());
+  ASSERT_LT(compressed.statements.size(), cut);
+  Workload representatives("representatives");
+  for (size_t i = 0; i < compressed.statements.size(); ++i) {
+    const StatementProfile& want = compressed.statements[i];
+    const StatementSnapshot& got = snapshot.profile[i];
+    EXPECT_EQ(got.sql, want.sql);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.weight),
+              std::bit_cast<uint64_t>(want.weight));
+    EXPECT_EQ(got.stream, want.stream);
+    ASSERT_TRUE(representatives.Add(got.sql, got.weight, got.stream).ok());
+  }
+  auto reanalyzed = AnalyzeWorkload(db, representatives);
+  ASSERT_TRUE(reanalyzed.ok());
+  for (size_t i = 0; i < compressed.statements.size(); ++i) {
+    ExpectSameSubplans(reanalyzed->statements[i], compressed.statements[i]);
+  }
+
+  // With two statements pending, snapshot -> restore -> snapshot serializes
+  // byte-identically, and both sessions stay byte-identical through the
+  // rest of the stream.
+  for (size_t i = cut; i < cut + 2; ++i) {
+    ASSERT_TRUE(session.Ingest(stream[i].first, stream[i].second).ok());
+  }
+  const std::string before = SerializeSession(session);
+  auto parsed = ParseCheckpoint(before);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto restored =
+      Session::Restore(parsed->sessions[0], db, fleet, config, nullptr);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SerializeSession(restored.value()), before);
+  for (size_t i = cut + 2; i < stream.size(); ++i) {
+    ASSERT_TRUE(session.Ingest(stream[i].first, stream[i].second).ok());
+    ASSERT_TRUE(restored->Ingest(stream[i].first, stream[i].second).ok());
+  }
+  EXPECT_EQ(SerializeSession(restored.value()), SerializeSession(session));
 }
 
 // --- Supervisor -------------------------------------------------------------

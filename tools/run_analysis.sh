@@ -18,8 +18,8 @@
 # Usage: tools/run_analysis.sh [--source DIR] [--build-root DIR]
 #                              [--tidy-only] [--no-tidy] [--thread] [-j N]
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh" "ANALYSIS"
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_ROOT=""
 RUN_TIDY=1
 TIDY_ONLY=0
@@ -34,13 +34,10 @@ while [[ $# -gt 0 ]]; do
     --no-tidy)    RUN_TIDY=0; shift ;;
     --thread)     RUN_THREAD=1; shift ;;
     -j)           JOBS="$2"; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
+    *) unknown_arg "$1" ;;
   esac
 done
 BUILD_ROOT="${BUILD_ROOT:-${SOURCE_DIR}/build-analysis}"
-
-log()  { printf '\n== %s ==\n' "$*"; }
-fail() { echo "ANALYSIS FAILED: $*" >&2; exit 1; }
 
 configure_and_build() {  # name, extra cmake args...
   local name="$1"; shift

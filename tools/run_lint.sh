@@ -14,8 +14,8 @@
 #
 # Usage: tools/run_lint.sh --cli PATH [--data DIR]
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh" "LINT DRIVER"
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 CLI=""
 DATA="${SOURCE_DIR}/examples/data"
 
@@ -23,13 +23,10 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --cli)  CLI="$2"; shift 2 ;;
     --data) DATA="$2"; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
+    *) unknown_arg "$1" ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH_TO_dblayout_cli" >&2; exit 2; }
-
-log()  { printf '\n== %s ==\n' "$*"; }
-fail() { echo "LINT DRIVER FAILED: $*" >&2; exit 1; }
+require_exe --cli "${CLI}"
 
 # run_lint expected_exit grep_pattern args... — runs the CLI in lint mode,
 # checks the exit code, and greps the output for the expected diagnostic.

@@ -15,26 +15,22 @@
 #
 # Usage: tools/run_obs.sh --cli PATH [--data DIR] [--out DIR]
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh" "OBS DRIVER"
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 CLI=""
 DATA="${SOURCE_DIR}/examples/data"
-OUT="$(mktemp -d)"
-trap 'rm -rf "${OUT}"' EXIT
+OUT=""
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --cli)  CLI="$2"; shift 2 ;;
     --data) DATA="$2"; shift 2 ;;
-    --out)  OUT="$2"; trap - EXIT; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
+    --out)  OUT="$2"; shift 2 ;;
+    *) unknown_arg "$1" ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH_TO_dblayout_cli" >&2; exit 2; }
-mkdir -p "${OUT}"
-
-log()  { printf '\n== %s ==\n' "$*"; }
-fail() { echo "OBS DRIVER FAILED: $*" >&2; exit 1; }
+require_exe --cli "${CLI}"
+if [[ -n "${OUT}" ]]; then mkdir -p "${OUT}"; else make_work_dir OUT; fi
 
 TRACE="${OUT}/trace.json"
 METRICS="${OUT}/metrics.prom"

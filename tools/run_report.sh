@@ -17,14 +17,13 @@
 # Usage: tools/run_report.sh --cli PATH --report PATH [--data DIR]
 #                            [--fixtures DIR] [--out DIR]
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh" "REPORT DRIVER"
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 CLI=""
 REPORT=""
 DATA="${SOURCE_DIR}/examples/data"
 FIXTURES="${SOURCE_DIR}/tests/testdata"
-OUT="$(mktemp -d)"
-trap 'rm -rf "${OUT}"' EXIT
+OUT=""
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -32,16 +31,13 @@ while [[ $# -gt 0 ]]; do
     --report)   REPORT="$2"; shift 2 ;;
     --data)     DATA="$2"; shift 2 ;;
     --fixtures) FIXTURES="$2"; shift 2 ;;
-    --out)      OUT="$2"; trap - EXIT; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
+    --out)      OUT="$2"; shift 2 ;;
+    *) unknown_arg "$1" ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH --report PATH" >&2; exit 2; }
-[[ -n "${REPORT}" && -x "${REPORT}" ]] || { echo "usage: $0 --cli PATH --report PATH" >&2; exit 2; }
-mkdir -p "${OUT}"
-
-log()  { printf '\n== %s ==\n' "$*"; }
-fail() { echo "REPORT DRIVER FAILED: $*" >&2; exit 1; }
+require_exe --cli "${CLI}"
+require_exe --report "${REPORT}"
+if [[ -n "${OUT}" ]]; then mkdir -p "${OUT}"; else make_work_dir OUT; fi
 
 J1="${OUT}/journal_t1.jsonl"
 J4="${OUT}/journal_t4.jsonl"

@@ -17,8 +17,8 @@
 #
 # Usage: tools/run_resilience.sh --cli PATH [--data DIR]
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh" "RESILIENCE DRIVER"
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 CLI=""
 DATA="${SOURCE_DIR}/examples/data"
 
@@ -26,13 +26,11 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --cli)  CLI="$2"; shift 2 ;;
     --data) DATA="$2"; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
+    *) unknown_arg "$1" ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH_TO_dblayout_cli" >&2; exit 2; }
-
-log()  { printf '\n== %s ==\n' "$*"; }
-fail() { echo "RESILIENCE DRIVER FAILED: $*" >&2; exit 1; }
+require_exe --cli "${CLI}"
+make_work_dir WORK
 
 PLAN="${DATA}/resilience/fault_plan.txt"
 [[ -f "${PLAN}" ]] || fail "missing fault-plan fixture ${PLAN}"
@@ -82,11 +80,10 @@ set +e
 "${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" \
   --fault-plan /nonexistent/plan.txt >/dev/null 2>&1
 [[ $? -eq 2 ]] || fail "missing fault plan did not exit 2"
-bad="$(mktemp)"
+bad="${WORK}/bad_plan.txt"
 echo "data1 wobbly" > "${bad}"
 msg="$("${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --fault-plan "${bad}" 2>&1)"
 code=$?
-rm -f "${bad}"
 [[ ${code} -eq 2 ]] || fail "malformed fault plan did not exit 2"
 grep -q ":1:" <<<"${msg}" || fail "parse error lacks file:line context: ${msg}"
 set -e

@@ -23,8 +23,8 @@
 #
 # Usage: tools/run_serve.sh --serve PATH [--data DIR]
 set -euo pipefail
+source "$(dirname "${BASH_SOURCE[0]}")/common.sh" "SERVE DRIVER"
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SERVE=""
 DATA="${SOURCE_DIR}/examples/data"
 
@@ -32,19 +32,15 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --serve) SERVE="$2"; shift 2 ;;
     --data)  DATA="$2"; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
+    *) unknown_arg "$1" ;;
   esac
 done
-[[ -n "${SERVE}" && -x "${SERVE}" ]] || { echo "usage: $0 --serve PATH_TO_dblayout_serve" >&2; exit 2; }
-
-log()  { printf '\n== %s ==\n' "$*"; }
-fail() { echo "SERVE DRIVER FAILED: $*" >&2; exit 1; }
+require_exe --serve "${SERVE}"
 
 STREAM="${DATA}/serve/stream.txt"
 [[ -f "${STREAM}" ]] || fail "missing stream fixture ${STREAM}"
 
-WORK="$(mktemp -d)"
-trap 'rm -rf "${WORK}"' EXIT
+make_work_dir WORK
 
 COMMON=(--schema "${DATA}/schema.sql" --disks "${DATA}/disks.txt"
         --stream "${STREAM}" --window 4 --max-move 0.6 --seed 7)
